@@ -40,6 +40,7 @@ struct ScaleResult {
     full_matrix_ms: f64,
     serial_live_ms: f64,
     stream_bytes: usize,
+    decoded_bytes: usize,
     stream_steps: usize,
     replay_matches_live: bool,
 }
@@ -70,8 +71,12 @@ fn measure(scale: Scale, name: &'static str, jobs: usize) -> ScaleResult {
     let t = Instant::now();
     let recorded = record_suite(DEFAULT_SEED, scale);
     let record_ms = ms(t);
-    let stream_bytes: usize = recorded.iter().map(|r| r.stream().byte_size()).sum();
-    let stream_steps: usize = recorded.iter().map(|r| r.stream().len()).sum();
+    let stream_bytes: usize = recorded
+        .iter()
+        .map(|r| r.decoded().compact_byte_size())
+        .sum();
+    let decoded_bytes: usize = recorded.iter().map(|r| r.decoded().byte_size()).sum();
+    let stream_steps: usize = recorded.iter().map(|r| r.decoded().len()).sum();
 
     let t = Instant::now();
     let replayed = replay_matrix(&recorded, &kinds, &config, jobs);
@@ -103,6 +108,7 @@ fn measure(scale: Scale, name: &'static str, jobs: usize) -> ScaleResult {
         full_matrix_ms,
         serial_live_ms,
         stream_bytes,
+        decoded_bytes,
         stream_steps,
         replay_matches_live,
     }
@@ -125,6 +131,7 @@ fn json_scale(r: &ScaleResult, out: &mut String) {
     ));
     out.push_str(&format!("      \"stream_steps\": {},\n", r.stream_steps));
     out.push_str(&format!("      \"stream_bytes\": {},\n", r.stream_bytes));
+    out.push_str(&format!("      \"decoded_bytes\": {},\n", r.decoded_bytes));
     out.push_str(&format!(
         "      \"speedup_vs_serial_live\": {:.2},\n",
         r.serial_live_ms / r.full_matrix_ms

@@ -9,12 +9,13 @@
 //! same economy the paper gets by collecting Pin traces once and
 //! feeding them to every region-selection algorithm (§2.3).
 //!
-//! Recording is also *decode-once*: the compact byte stream is expanded
-//! to a dense [`DecodedStream`] a single time per workload, so the
-//! per-selector replays walk plain arrays (and fast-forward detected
-//! spin phases) instead of re-decoding varints and re-hashing block
-//! tables eight times over. Workers additionally recycle their
-//! simulator side tables ([`ReplayScratch`]) from cell to cell.
+//! The suite is recorded on every available core, and each recording
+//! is *decode-once*: the compact byte stream is expanded to a dense
+//! [`DecodedStream`] a single time per workload, so the per-selector
+//! replays walk plain arrays (and fast-forward detected spin phases)
+//! instead of re-decoding varints and re-hashing block tables eight
+//! times over. Workers additionally recycle their simulator side
+//! tables ([`ReplayScratch`]) from cell to cell.
 //!
 //! Cells are independently replayable, so the matrix fans them out
 //! across scoped worker threads (`RSEL_JOBS` workers, defaulting to the
@@ -26,7 +27,8 @@ use rsel_core::metrics::RunReport;
 use rsel_core::select::SelectorKind;
 use rsel_core::{ReplayScratch, SimConfig, Simulator};
 use rsel_program::{Executor, Program};
-use rsel_trace::{CompactStream, DecodedStream};
+use rsel_runtime::TenantSpec;
+use rsel_trace::DecodedStream;
 use rsel_workloads::{Scale, Workload, suite};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -55,52 +57,44 @@ pub fn run_one(
     sim.report()
 }
 
-/// One workload's program plus its compactly recorded execution,
-/// replayable against any number of selectors.
+/// One workload's program plus its recorded execution, replayable
+/// against any number of selectors.
+///
+/// A thin view of the serving runtime's [`TenantSpec`], so the matrix
+/// and the runtime share one build → record → decode path.
 pub struct RecordedWorkload {
-    name: &'static str,
-    program: Program,
-    decoded: DecodedStream,
+    spec: TenantSpec,
 }
 
 impl RecordedWorkload {
     /// Builds the workload, records its full execution once, and
     /// decodes the recording once for all subsequent replays.
     pub fn record(workload: &Workload, seed: u64, scale: Scale) -> Self {
-        let (program, spec) = workload.build(seed, scale);
-        let stream = CompactStream::record(Executor::new(&program, spec));
-        let decoded = DecodedStream::decode(stream, &program);
         RecordedWorkload {
-            name: workload.name(),
-            program,
-            decoded,
+            spec: TenantSpec::record(workload, seed, scale),
         }
     }
 
     /// The workload's name.
     pub fn name(&self) -> &'static str {
-        self.name
+        self.spec.name()
     }
 
     /// The built program.
     pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The recorded execution stream (owned by the decoded form).
-    pub fn stream(&self) -> &CompactStream {
-        self.decoded.compact()
+        self.spec.program()
     }
 
     /// The decode-once struct-of-arrays form of the recording.
     pub fn decoded(&self) -> &DecodedStream {
-        &self.decoded
+        self.spec.decoded()
     }
 
     /// Replays the recording through one selector.
     pub fn replay(&self, kind: SelectorKind, config: &SimConfig) -> RunReport {
-        let mut sim = Simulator::new(&self.program, kind.make(&self.program, config), config);
-        sim.replay_decoded(&self.decoded);
+        let program = self.program();
+        let mut sim = Simulator::new(program, kind.make(program, config), config);
+        sim.replay_decoded(self.decoded());
         sim.report()
     }
 
@@ -112,13 +106,14 @@ impl RecordedWorkload {
         config: &SimConfig,
         scratch: &mut ReplayScratch,
     ) -> RunReport {
+        let program = self.program();
         let mut sim = Simulator::recycled(
-            &self.program,
-            kind.make(&self.program, config),
+            program,
+            kind.make(program, config),
             config,
             std::mem::take(scratch),
         );
-        sim.replay_decoded(&self.decoded);
+        sim.replay_decoded(self.decoded());
         let report = sim.report();
         *scratch = sim.into_scratch();
         report
@@ -241,11 +236,12 @@ impl MatrixResults {
     }
 }
 
-/// Records the whole suite once at `(seed, scale)`.
+/// Records the whole suite once at `(seed, scale)`, in suite order,
+/// on every available core ([`TenantSpec::record_suite`]).
 pub fn record_suite(seed: u64, scale: Scale) -> Vec<RecordedWorkload> {
-    suite()
-        .iter()
-        .map(|w| RecordedWorkload::record(w, seed, scale))
+    TenantSpec::record_suite(seed, scale)
+        .into_iter()
+        .map(|spec| RecordedWorkload { spec })
         .collect()
 }
 

@@ -1,10 +1,11 @@
 //! Golden tests for the record-once/replay-many pipeline: replaying a
 //! compact recording must be indistinguishable — bit-for-bit at the
 //! `RunReport` level — from re-executing the workload live, and the
-//! parallel matrix must equal the serial matrix cell for cell.
+//! parallel matrix must equal the serial matrix cell for cell, as must
+//! the suite recorded in parallel equal each workload recorded alone.
 
 use rsel_bench::harness::{
-    RecordedWorkload, run_matrix_serial_live, run_matrix_with_jobs, run_one,
+    RecordedWorkload, record_suite, run_matrix_serial_live, run_matrix_with_jobs, run_one,
 };
 use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
@@ -75,5 +76,40 @@ fn parallel_matrix_equals_serial_matrix_under_faults() {
         for &k in &kinds {
             assert_eq!(serial.report(w, k), parallel.report(w, k), "{w} {k}");
         }
+    }
+}
+
+#[test]
+fn parallel_suite_recording_equals_serial_recording() {
+    let cfg = SimConfig::default();
+    let parallel = record_suite(2005, Scale::Test);
+    let workloads = suite();
+    assert_eq!(parallel.len(), workloads.len());
+    for (w, par) in workloads.iter().zip(&parallel) {
+        let serial = RecordedWorkload::record(w, 2005, Scale::Test);
+        assert_eq!(par.name(), w.name(), "suite order");
+        assert!(
+            par.decoded().steps().eq(serial.decoded().steps()),
+            "{}: steps differ",
+            w.name()
+        );
+        for kind in SelectorKind::extended() {
+            assert_eq!(
+                par.replay(kind, &cfg),
+                serial.replay(kind, &cfg),
+                "{} under {kind}",
+                w.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn suite_sources_are_all_derived() {
+    // The benchmarked path is the lean one: every taken source the
+    // executor records is the previous step's terminator, so no
+    // workload needs a source exception.
+    for rec in record_suite(2005, Scale::Test) {
+        assert_eq!(rec.decoded().source_exceptions(), 0, "{}", rec.name());
     }
 }

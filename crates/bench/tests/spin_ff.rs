@@ -23,13 +23,14 @@ fn fast_forward_is_invisible_across_the_suite() {
     );
     for rec in &recorded {
         let decoded = rec.decoded();
+        let stream = decoded.to_compact();
         for &kind in &kinds {
             let mut on = Simulator::new(rec.program(), kind.make(rec.program(), &cfg), &cfg);
             on.replay_decoded_range(decoded, 0, decoded.len(), true);
             let mut off = Simulator::new(rec.program(), kind.make(rec.program(), &cfg), &cfg);
             off.replay_decoded_range(decoded, 0, decoded.len(), false);
             let mut live = Simulator::new(rec.program(), kind.make(rec.program(), &cfg), &cfg);
-            live.run(rec.stream().replay(rec.program()));
+            live.run(stream.replay(rec.program()));
             let live = live.report();
             assert_eq!(on.report(), live, "{} under {kind}: ff vs live", rec.name());
             assert_eq!(

@@ -445,12 +445,12 @@ mod tests {
         crate::metrics::RunReport,
     )> {
         let (p, stream) = recorded(build, 1);
-        let decoded = DecodedStream::decode(stream, &p);
+        let decoded = DecodedStream::decode(stream.clone(), &p);
         SelectorKind::extended()
             .into_iter()
             .map(|kind| {
                 let mut a = Simulator::new(&p, kind.make(&p, cfg), cfg);
-                a.run(decoded.compact().replay(&p));
+                a.run(stream.replay(&p));
                 let mut b = Simulator::new(&p, kind.make(&p, cfg), cfg);
                 b.replay_decoded(&decoded);
                 (kind, a.report(), b.report())
@@ -545,11 +545,11 @@ mod tests {
             ..SimConfig::default()
         };
         let (p, stream) = recorded(hot_loop, 1);
-        let decoded = DecodedStream::decode(stream, &p);
+        let decoded = DecodedStream::decode(stream.clone(), &p);
         // With an active injector the detector is bypassed even when
         // force-enabled; both replays must equal the live stepping run.
         let mut live = Simulator::new(&p, SelectorKind::Net.make(&p, &cfg), &cfg);
-        live.run(decoded.compact().replay(&p));
+        live.run(stream.replay(&p));
         for ff in [true, false] {
             let mut sim = Simulator::new(&p, SelectorKind::Net.make(&p, &cfg), &cfg);
             sim.replay_decoded_range(&decoded, 0, decoded.len(), ff);

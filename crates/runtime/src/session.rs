@@ -19,12 +19,12 @@ use rsel_program::{Executor, Program};
 use rsel_trace::{CompactStream, DecodedStream, StreamStats};
 use rsel_workloads::{Scale, Workload, suite};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A workload prepared for serving: the built program plus its full
-/// recorded execution (kept both compact, for persistence-shaped
-/// parity tests, and decoded once into dense arrays for serving),
-/// replayable by any number of sessions.
+/// recorded execution, decoded once into dense arrays, replayable by
+/// any number of sessions.
 ///
 /// The program and recording sit behind `Arc`s, so cloning a spec is
 /// a refcount bump — that is what makes tenant replication
@@ -52,11 +52,33 @@ impl TenantSpec {
     }
 
     /// Records the whole twelve-workload suite at `(seed, scale)` —
-    /// the standard serving population.
+    /// the standard serving population — in suite order.
+    ///
+    /// The workloads are recorded on one scoped worker per available
+    /// core, each claiming the next unrecorded workload. A recording
+    /// is a pure function of workload, seed and scale, so the result
+    /// does not depend on the worker count or the schedule.
     pub fn record_suite(seed: u64, scale: Scale) -> Vec<TenantSpec> {
-        suite()
-            .iter()
-            .map(|w| TenantSpec::record(w, seed, scale))
+        let suite = suite();
+        let jobs = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(suite.len());
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<TenantSpec>> = suite.iter().map(|_| OnceLock::new()).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(w) = suite.get(i) else { break };
+                        let _ = slots[i].set(TenantSpec::record(w, seed, scale));
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every workload was recorded"))
             .collect()
     }
 
@@ -83,6 +105,11 @@ impl TenantSpec {
     /// The built program.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// The decode-once form of the recording.
+    pub fn decoded(&self) -> &DecodedStream {
+        &self.decoded
     }
 
     /// Recorded steps in the stream.
@@ -740,7 +767,7 @@ mod tests {
             SelectorKind::Lei.make(spec.program(), &cfg),
             &cfg,
         );
-        mono.run(spec.decoded.compact().replay(spec.program()));
+        mono.run(spec.decoded.to_compact().replay(spec.program()));
         assert_eq!(epoch.report(), mono.report(), "epoching is invisible");
     }
 

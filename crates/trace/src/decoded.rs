@@ -8,16 +8,26 @@
 //! times per workload.
 //!
 //! [`DecodedStream`] is the *execution* format: the compact stream's
-//! dense per-step arrays (block index, entry tag, taken sources —
-//! taken over from the compact form it consumes, never copied)
-//! augmented with a prefix index into the taken-source table and
-//! per-block tables (start address, instruction count, terminator
-//! address, [`BlockId`]) resolved against the program up front. The
-//! simulator's batch replay path iterates the arrays directly — no
-//! per-step hashing, no `Step` materialization — and any consumer can
-//! still materialize [`Step`]s via [`DecodedStream::steps`],
-//! bit-identical to [`CompactStream::replay`] on the owned stream
-//! (exposed again by [`DecodedStream::compact`]).
+//! dense per-step arrays (block index and entry tag — taken over from
+//! the compact form it consumes, never copied) plus per-block tables
+//! (start address, instruction count, terminator address, [`BlockId`])
+//! resolved against the program up front. The simulator's batch replay
+//! path iterates the arrays directly — no per-step hashing, no `Step`
+//! materialization — and any consumer can still materialize [`Step`]s
+//! via [`DecodedStream::steps`], bit-identical to
+//! [`CompactStream::replay`] on the source stream (rebuilt by
+//! [`DecodedStream::to_compact`]).
+//!
+//! Taken-branch sources are *derived*, not stored: the executor always
+//! leaves a block through its terminator, so a taken step's source is
+//! the terminator address of the previous step's block — like the
+//! paper's compact trace encoding (Figure 14), which spends no bits on
+//! what the program already determines. Decoding checks that against
+//! every recorded source and keeps the few that disagree (a taken
+//! first step, hand-built or loaded streams) in a small sorted
+//! exception table, so any [`CompactStream`] decodes exactly. The
+//! decoded form thus holds 5 bytes per step instead of 5 plus 8 per
+//! taken branch.
 //!
 //! Decoding also runs a *spin-phase* detector (in the spirit of
 //! gamegirl's waitloop optimization): maximal runs where the stream
@@ -65,6 +75,19 @@ impl SpinPhase {
     }
 }
 
+/// Panics unless every step index of an `n`-step stream fits the
+/// 32-bit step fields of [`SpinPhase`] and the source exception table.
+/// A longer stream would otherwise silently truncate phase starts and
+/// fast-forward the wrong steps.
+fn check_indexable(n: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "cannot decode a stream of {n} steps: step indices are 32-bit, \
+         so a decoded stream holds at most {} steps",
+        u32::MAX
+    );
+}
+
 /// A recorded execution decoded once into dense, directly-iterable
 /// arrays (see the module docs).
 ///
@@ -86,20 +109,20 @@ impl SpinPhase {
 /// let decoded = DecodedStream::decode(compact, &p);
 /// let steps: Vec<Step> = decoded.steps().collect();
 /// assert_eq!(steps, live);
+/// assert_eq!(decoded.source_exceptions(), 0, "executor sources are derived");
 /// assert!(!decoded.phases().is_empty(), "the spin loop is detected");
 /// ```
 #[derive(Clone, Debug)]
 pub struct DecodedStream {
-    /// The storage form this stream was decoded from. Its per-step
-    /// arrays (block indices, entry tags, taken sources) *are* the
-    /// decoded stream's per-step arrays — decoding takes ownership
-    /// instead of duplicating hundreds of megabytes at Full scale.
-    stream: CompactStream,
-    /// Prefix count of taken entries: `taken_prefix[i]` is the number
-    /// of taken steps before step `i`, so a taken step's source is
-    /// `srcs[taken_prefix[i]]` — O(1) random access into the side
-    /// table a sequential iterator would otherwise have to thread.
-    taken_prefix: Vec<u32>,
+    /// Program block index of each step, in execution order (taken
+    /// over from the compact form, not copied).
+    blocks: Vec<u32>,
+    /// Entry tag of each step, in the compact form's encoding.
+    tags: Vec<u8>,
+    /// Taken steps whose recorded source is not the terminator of the
+    /// previous step's block, as `(step index, source)` sorted by step
+    /// index. Empty for every stream the executor records.
+    src_exceptions: Vec<(u32, Addr)>,
     // Per-block tables, indexed by program block index.
     ids: Vec<BlockId>,
     starts: Vec<Addr>,
@@ -112,19 +135,22 @@ pub struct DecodedStream {
 
 impl DecodedStream {
     /// Decodes `stream` against `program`: resolves every block index
-    /// through the program tables once, builds the prefix index into
-    /// the taken-source table, detects spin phases, and accumulates
-    /// the stream statistics — all in a single pass over the steps.
-    /// The stream is consumed, not copied; [`DecodedStream::compact`]
-    /// hands it back.
+    /// through the program tables once, checks every taken source
+    /// against the one the previous step's terminator implies, detects
+    /// spin phases, and accumulates the stream statistics. The
+    /// stream's per-step arrays are taken over, not copied, and its
+    /// taken-source table is dropped; [`DecodedStream::to_compact`]
+    /// rebuilds it.
     ///
     /// # Panics
     ///
     /// Panics if a recorded block index is out of range for `program`
     /// (the stream was recorded from a different program), matching
-    /// [`CompactStream::replay`].
+    /// [`CompactStream::replay`], or if the stream has more than
+    /// `u32::MAX` steps.
     pub fn decode(stream: CompactStream, program: &Program) -> Self {
-        let (blocks, tags, srcs) = stream.raw_parts();
+        let (blocks, tags, srcs) = stream.into_raw_parts();
+        check_indexable(blocks.len());
         let pblocks = program.blocks();
         let mut ids = Vec::with_capacity(pblocks.len());
         let mut starts = Vec::with_capacity(pblocks.len());
@@ -137,70 +163,122 @@ impl DecodedStream {
             term_addrs.push(b.terminator().addr());
         }
 
-        let mut taken_prefix = Vec::with_capacity(blocks.len());
+        let mut src_exceptions = Vec::new();
         let mut stats = StreamStats::default();
-        let mut taken = 0u32;
-        for (&idx, &tag) in blocks.iter().zip(tags) {
+        let mut srcs = srcs.into_iter();
+        let mut prev_term = None;
+        for (i, (&idx, &tag)) in blocks.iter().zip(&tags).enumerate() {
             let idx = idx as usize;
             assert!(
                 idx < pblocks.len(),
                 "recorded block index {idx} out of range for program"
             );
-            taken_prefix.push(taken);
             stats.blocks += 1;
             stats.instructions += u64::from(lens[idx]);
             if tag >= ENTRY_TAKEN_BASE {
+                let src = srcs.next().expect("taken entry has a recorded source");
                 stats.taken_branches += 1;
-                if starts[idx].is_backward_from(srcs[taken as usize]) {
+                if starts[idx].is_backward_from(src) {
                     stats.backward_taken += 1;
                 }
-                taken += 1;
+                if prev_term != Some(src) {
+                    src_exceptions.push((i as u32, src));
+                }
             }
+            prev_term = Some(term_addrs[idx]);
         }
 
-        let phases = detect_phases(blocks, tags, &taken_prefix, srcs);
-        DecodedStream {
-            stream,
-            taken_prefix,
+        let mut decoded = DecodedStream {
+            blocks,
+            tags,
+            src_exceptions,
             ids,
             starts,
             lens,
             term_addrs,
-            phases,
+            phases: Vec::new(),
             stats,
-        }
+        };
+        decoded.phases = detect_phases(&decoded);
+        decoded
     }
 
-    /// The compact storage form this stream was decoded from.
-    pub fn compact(&self) -> &CompactStream {
-        &self.stream
+    /// Rebuilds the compact storage form this stream was decoded from,
+    /// equal to it field for field.
+    pub fn to_compact(&self) -> CompactStream {
+        let srcs = (0..self.len())
+            .filter(|&i| self.tags[i] >= ENTRY_TAKEN_BASE)
+            .map(|i| self.taken_src(i))
+            .collect();
+        CompactStream::from_raw_parts(self.blocks.clone(), self.tags.clone(), srcs)
     }
 
     /// Number of decoded steps.
     pub fn len(&self) -> usize {
-        self.stream.len()
+        self.blocks.len()
     }
 
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.stream.is_empty()
+        self.blocks.is_empty()
+    }
+
+    /// Taken steps whose source could not be derived from the previous
+    /// step and is stored explicitly — zero for executor recordings.
+    pub fn source_exceptions(&self) -> usize {
+        self.src_exceptions.len()
+    }
+
+    /// [`CompactStream::byte_size`] of the source stream, without
+    /// rebuilding it.
+    pub fn compact_byte_size(&self) -> usize {
+        self.blocks.len() * 4 + self.tags.len() + self.stats.taken_branches as usize * 8
+    }
+
+    /// Payload bytes held by this decoded form (excluding `Vec`
+    /// headers and spare capacity): the per-step arrays, the source
+    /// exceptions, the per-block tables and the spin phases.
+    pub fn byte_size(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.blocks.as_slice())
+            + size_of_val(self.tags.as_slice())
+            + size_of_val(self.src_exceptions.as_slice())
+            + size_of_val(self.ids.as_slice())
+            + size_of_val(self.starts.as_slice())
+            + size_of_val(self.lens.as_slice())
+            + size_of_val(self.term_addrs.as_slice())
+            + size_of_val(self.phases.as_slice())
     }
 
     /// The program block index executed at step `i`.
     #[inline]
     pub fn block_index(&self, i: usize) -> usize {
-        self.stream.raw_parts().0[i] as usize
+        self.blocks[i] as usize
+    }
+
+    /// The branch source of taken step `i`: the previous step's
+    /// terminator, unless decoding recorded an exception for `i`.
+    #[inline]
+    fn taken_src(&self, i: usize) -> Addr {
+        if !self.src_exceptions.is_empty() {
+            if let Ok(k) = self
+                .src_exceptions
+                .binary_search_by_key(&(i as u32), |&(step, _)| step)
+            {
+                return self.src_exceptions[k].1;
+            }
+        }
+        self.term_addrs[self.blocks[i - 1] as usize]
     }
 
     /// How control arrived at step `i`.
     #[inline]
     pub fn entry_at(&self, i: usize) -> Entry {
-        let (_, tags, srcs) = self.stream.raw_parts();
-        match tags[i] {
+        match self.tags[i] {
             ENTRY_START => Entry::Start,
             ENTRY_FALLTHROUGH => Entry::Fallthrough,
             t => Entry::Taken {
-                src: srcs[self.taken_prefix[i] as usize],
+                src: self.taken_src(i),
                 kind: tag_to_kind(t - ENTRY_TAKEN_BASE)
                     .expect("recorded tag encodes a branch kind"),
             },
@@ -262,23 +340,15 @@ impl DecodedStream {
     pub fn steps(&self) -> impl Iterator<Item = Step> + '_ {
         (0..self.len()).map(|i| self.step_at(i))
     }
-}
 
-/// Whether steps `a` and `b` are identical: same block, same entry
-/// kind, and (for taken entries) the same branch source.
-#[inline]
-fn step_eq(
-    blocks: &[u32],
-    tags: &[u8],
-    taken_prefix: &[u32],
-    srcs: &[Addr],
-    a: usize,
-    b: usize,
-) -> bool {
-    blocks[a] == blocks[b]
-        && tags[a] == tags[b]
-        && (tags[a] < ENTRY_TAKEN_BASE
-            || srcs[taken_prefix[a] as usize] == srcs[taken_prefix[b] as usize])
+    /// Whether steps `a` and `b` are identical: same block, same entry
+    /// kind, and (for taken entries) the same branch source.
+    #[inline]
+    fn step_eq(&self, a: usize, b: usize) -> bool {
+        self.blocks[a] == self.blocks[b]
+            && self.tags[a] == self.tags[b]
+            && (self.tags[a] < ENTRY_TAKEN_BASE || self.taken_src(a) == self.taken_src(b))
+    }
 }
 
 /// Finds maximal periodic runs: at each step whose block last occurred
@@ -291,12 +361,8 @@ fn step_eq(
 /// decoding quadratic: when the budget runs out, detection stops and
 /// the remaining stream simply replays step by step (a performance
 /// fallback, never a correctness concern).
-fn detect_phases(
-    blocks: &[u32],
-    tags: &[u8],
-    taken_prefix: &[u32],
-    srcs: &[Addr],
-) -> Vec<SpinPhase> {
+fn detect_phases(stream: &DecodedStream) -> Vec<SpinPhase> {
+    let blocks = &stream.blocks;
     let n = blocks.len();
     let mut phases = Vec::new();
     if n < 2 * MIN_REPS {
@@ -305,7 +371,7 @@ fn detect_phases(
     let max_block = blocks.iter().copied().max().unwrap_or(0) as usize;
     // Last occurrence of each block index, for O(1) period candidates.
     let mut last = vec![usize::MAX; max_block + 1];
-    let eq = |a: usize, b: usize| step_eq(blocks, tags, taken_prefix, srcs, a, b);
+    let eq = |a: usize, b: usize| stream.step_eq(a, b);
     let mut budget = 2 * n;
     let mut i = 0usize;
     while i < n {
@@ -326,6 +392,7 @@ fn detect_phases(
             let s = prev.max(last_end);
             let reps = j.saturating_sub(s) / p;
             if reps >= MIN_REPS {
+                // `decode` checked that every step index fits in u32.
                 phases.push(SpinPhase {
                     start: s as u32,
                     period: p as u32,
@@ -371,19 +438,63 @@ mod tests {
     fn decoded_steps_match_compact_replay() {
         let (p, stream) = spin_run(50);
         let n = stream.len();
-        let decoded = DecodedStream::decode(stream, &p);
+        let b: Vec<Step> = stream.replay(&p).collect();
+        let decoded = DecodedStream::decode(stream.clone(), &p);
         let a: Vec<Step> = decoded.steps().collect();
-        let b: Vec<Step> = decoded.compact().replay(&p).collect();
         assert_eq!(a, b);
         assert_eq!(decoded.len(), n);
+        assert_eq!(decoded.source_exceptions(), 0);
+        assert_eq!(decoded.to_compact(), stream);
+        assert_eq!(decoded.compact_byte_size(), stream.byte_size());
     }
 
     #[test]
     fn stats_match_step_walk() {
         let (p, stream) = spin_run(50);
+        let steps: Vec<Step> = stream.replay(&p).collect();
         let decoded = DecodedStream::decode(stream, &p);
-        let steps: Vec<Step> = decoded.compact().replay(&p).collect();
         assert_eq!(decoded.stats(), StreamStats::collect(&p, &steps));
+    }
+
+    #[test]
+    fn decoded_form_drops_the_source_table() {
+        let (p, stream) = spin_run(1000);
+        let compact_per_step = stream.byte_size() as f64 / stream.len() as f64;
+        let decoded = DecodedStream::decode(stream, &p);
+        let per_step = decoded.byte_size() as f64 / decoded.len() as f64;
+        assert!(compact_per_step > 8.0, "{compact_per_step}");
+        assert!(per_step < 5.5, "{per_step} bytes per decoded step");
+    }
+
+    #[test]
+    fn underived_sources_decode_exactly() {
+        let (p, stream) = spin_run(20);
+        let mut steps: Vec<Step> = stream.replay(&p).collect();
+        // A taken first step and a taken source that is not the
+        // previous step's terminator: neither can be derived.
+        let foreign = p.blocks().last().unwrap().terminator().addr();
+        let kind = rsel_program::BranchKind::Jump;
+        steps[0].entry = Entry::Taken { src: foreign, kind };
+        let k = steps.iter().rposition(|s| s.entry.is_taken()).unwrap();
+        steps[k].entry = Entry::Taken { src: foreign, kind };
+        let stream = CompactStream::record(steps.iter().copied());
+        let decoded = DecodedStream::decode(stream.clone(), &p);
+        assert_eq!(decoded.source_exceptions(), 2);
+        assert_eq!(decoded.steps().collect::<Vec<_>>(), steps);
+        assert_eq!(decoded.to_compact(), stream);
+    }
+
+    #[test]
+    fn longest_indexable_stream_is_accepted() {
+        check_indexable(0);
+        check_indexable(u32::MAX as usize);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "step indices are 32-bit")]
+    fn overlong_stream_is_rejected() {
+        check_indexable(u32::MAX as usize + 1);
     }
 
     #[test]

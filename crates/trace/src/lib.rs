@@ -32,7 +32,5 @@ pub use bitstring::{BitReader, BitString};
 pub use compact::{AddrWidth, CompactTrace, DecodeError, DecodedPath, TraceRecorder};
 pub use decoded::{DecodedStream, SpinPhase};
 pub use paths::PathProfile;
-pub use stream::{CompactStream, RecordedStream, StreamStats};
-pub use stream_io::{
-    StreamIoError, load_compact_stream, load_stream, save_compact_stream, save_stream,
-};
+pub use stream::{CompactStream, StreamStats};
+pub use stream_io::{StreamIoError, load_compact_stream, save_compact_stream};

@@ -2,82 +2,6 @@
 
 use rsel_program::{BranchKind, Entry, Program, Step};
 
-/// A recorded execution: the full [`Step`] stream of one run.
-///
-/// Recording lets the same dynamic execution be fed to several
-/// region-selection algorithms, guaranteeing an identical input stream —
-/// the property the paper gets by abstracting "all details of region
-/// selection ... out of the framework" (§2.3, footnote 4).
-///
-/// ```
-/// use rsel_program::{ProgramBuilder, BehaviorSpec, Executor};
-/// use rsel_trace::RecordedStream;
-///
-/// let mut b = ProgramBuilder::new();
-/// let f = b.function("main", 0x100);
-/// let bb = b.block(f);
-/// let ex = b.block_with(f, 0);
-/// b.cond_branch(bb, bb);
-/// b.ret(ex);
-/// let p = b.build().unwrap();
-/// let mut spec = BehaviorSpec::new(1);
-/// spec.loop_trips(p.block(bb).branch_addr().unwrap(), 3);
-/// let rec = RecordedStream::record(Executor::new(&p, spec));
-/// assert_eq!(rec.len(), rec.replay().count());
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecordedStream {
-    steps: Vec<Step>,
-}
-
-impl RecordedStream {
-    /// Records every step of `source` to completion.
-    pub fn record<I: IntoIterator<Item = Step>>(source: I) -> Self {
-        RecordedStream {
-            steps: source.into_iter().collect(),
-        }
-    }
-
-    /// Records at most `limit` steps of `source`.
-    pub fn record_bounded<I: IntoIterator<Item = Step>>(source: I, limit: usize) -> Self {
-        RecordedStream {
-            steps: source.into_iter().take(limit).collect(),
-        }
-    }
-
-    /// Number of recorded steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The recorded steps.
-    pub fn steps(&self) -> &[Step] {
-        &self.steps
-    }
-
-    /// Iterates over the recorded steps by value.
-    pub fn replay(&self) -> impl Iterator<Item = Step> + '_ {
-        self.steps.iter().copied()
-    }
-}
-
-impl FromIterator<Step> for RecordedStream {
-    fn from_iter<I: IntoIterator<Item = Step>>(iter: I) -> Self {
-        RecordedStream::record(iter)
-    }
-}
-
-impl Extend<Step> for RecordedStream {
-    fn extend<I: IntoIterator<Item = Step>>(&mut self, iter: I) {
-        self.steps.extend(iter);
-    }
-}
-
 pub(crate) fn kind_to_tag(kind: BranchKind) -> u8 {
     match kind {
         BranchKind::Cond => 0,
@@ -108,8 +32,12 @@ const ENTRY_TAKEN_BASE: u8 = 2;
 /// A compactly recorded execution: one `u32` block index and one tag
 /// byte per step, with taken-branch sources in a side table.
 ///
-/// [`RecordedStream`] stores 32 bytes per step (a full [`Step`]).
-/// Because a step's `start` is always the start address of its block,
+/// Recording lets the same dynamic execution be fed to several
+/// region-selection algorithms, guaranteeing an identical input stream —
+/// the property the paper gets by abstracting "all details of region
+/// selection ... out of the framework" (§2.3, footnote 4).
+///
+/// A full [`Step`] is 32 bytes. Because a step's `start` is always the start address of its block,
 /// the stream is fully determined by the block-index sequence, the
 /// entry tags, and — for taken entries only — the branch source. The
 /// compact form stores exactly that, cutting the per-step footprint to
@@ -122,7 +50,7 @@ const ENTRY_TAKEN_BASE: u8 = 2;
 ///
 /// ```
 /// use rsel_program::{ProgramBuilder, BehaviorSpec, Executor, Step};
-/// use rsel_trace::{CompactStream, RecordedStream};
+/// use rsel_trace::CompactStream;
 ///
 /// let mut b = ProgramBuilder::new();
 /// let f = b.function("main", 0x100);
@@ -160,16 +88,6 @@ impl CompactStream {
     /// Records at most `limit` steps of `source`.
     pub fn record_bounded<I: IntoIterator<Item = Step>>(source: I, limit: usize) -> Self {
         CompactStream::record(source.into_iter().take(limit))
-    }
-
-    /// Compacts an already-recorded stream.
-    pub fn from_recorded(rec: &RecordedStream) -> Self {
-        CompactStream::record(rec.replay())
-    }
-
-    /// Expands back into a full [`RecordedStream`].
-    pub fn to_recorded(&self, program: &Program) -> RecordedStream {
-        self.replay(program).collect()
     }
 
     /// Number of recorded steps.
@@ -227,6 +145,10 @@ impl CompactStream {
 
     pub(crate) fn raw_parts(&self) -> (&[u32], &[u8], &[rsel_program::Addr]) {
         (&self.blocks, &self.tags, &self.taken_srcs)
+    }
+
+    pub(crate) fn into_raw_parts(self) -> (Vec<u32>, Vec<u8>, Vec<rsel_program::Addr>) {
+        (self.blocks, self.tags, self.taken_srcs)
     }
 
     pub(crate) fn from_raw_parts(
@@ -329,7 +251,7 @@ mod tests {
     use super::*;
     use rsel_program::{BehaviorSpec, Executor, ProgramBuilder};
 
-    fn run() -> (Program, RecordedStream) {
+    fn run() -> (Program, Vec<Step>) {
         let mut b = ProgramBuilder::new();
         let f = b.function("main", 0x100);
         let head = b.block(f);
@@ -341,76 +263,45 @@ mod tests {
         let p = b.build().unwrap();
         let mut spec = BehaviorSpec::new(1);
         spec.loop_trips(p.block(body).branch_addr().unwrap(), 4);
-        let rec = RecordedStream::record(Executor::new(&p, spec));
-        (p, rec)
-    }
-
-    #[test]
-    fn replay_matches_recording() {
-        let (_, rec) = run();
-        let replayed: Vec<Step> = rec.replay().collect();
-        assert_eq!(replayed.as_slice(), rec.steps());
-        assert!(!rec.is_empty());
+        let steps = Executor::new(&p, spec).collect();
+        (p, steps)
     }
 
     #[test]
     fn stats_count_backward_branches() {
-        let (p, rec) = run();
-        let stats = StreamStats::collect(&p, rec.steps());
+        let (p, steps) = run();
+        let stats = StreamStats::collect(&p, &steps);
         // 4 iterations -> 3 backward taken branches (the 4th falls out).
         assert_eq!(stats.backward_taken, 3);
-        assert_eq!(stats.blocks, rec.len() as u64);
+        assert_eq!(stats.blocks, steps.len() as u64);
         assert!(stats.instructions >= stats.blocks);
     }
 
     #[test]
-    fn bounded_recording_truncates() {
-        let mut b = ProgramBuilder::new();
-        let f = b.function("main", 0x100);
-        let spin = b.block(f);
-        let exit = b.block_with(f, 0);
-        b.cond_branch(spin, spin);
-        b.ret(exit);
-        let p = b.build().unwrap();
-        let mut spec = BehaviorSpec::new(0);
-        spec.always(p.block(spin).branch_addr().unwrap());
-        let rec = RecordedStream::record_bounded(Executor::new(&p, spec), 10);
-        assert_eq!(rec.len(), 10);
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let (_, rec) = run();
-        let again: RecordedStream = rec.replay().collect();
-        assert_eq!(again, rec);
-    }
-
-    #[test]
     fn compact_replay_is_bit_identical() {
-        let (p, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (p, steps) = run();
+        let compact = CompactStream::record(steps.iter().copied());
         let replayed: Vec<Step> = compact.replay(&p).collect();
-        assert_eq!(replayed.as_slice(), rec.steps());
-        assert_eq!(compact.to_recorded(&p), rec);
-        assert_eq!(compact.len(), rec.len());
+        assert_eq!(replayed, steps);
+        assert_eq!(compact.len(), steps.len());
     }
 
     #[test]
     fn compact_is_smaller_than_full_steps() {
-        let (_, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (_, steps) = run();
+        let compact = CompactStream::record(steps.iter().copied());
         assert!(!compact.is_empty());
-        assert!(compact.byte_size() < rec.len() * std::mem::size_of::<Step>());
+        assert!(compact.byte_size() < steps.len() * std::mem::size_of::<Step>());
     }
 
     #[test]
     fn compact_taken_sources_preserved() {
-        let (p, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (p, steps) = run();
+        let compact = CompactStream::record(steps.iter().copied());
         // One zipped pass over both streams: every live taken entry
         // replays with the same source and kind.
         let mut live_taken = 0usize;
-        for (live, replayed) in rec.replay().zip(compact.replay(&p)) {
+        for (live, replayed) in steps.iter().zip(compact.replay(&p)) {
             match (live.entry, replayed.entry) {
                 (Entry::Taken { src: a, kind: ka }, Entry::Taken { src: b, kind: kb }) => {
                     assert_eq!((a, ka), (b, kb));
@@ -424,11 +315,11 @@ mod tests {
 
     #[test]
     fn compact_stats_match_step_stats() {
-        let (p, rec) = run();
-        let compact = CompactStream::from_recorded(&rec);
+        let (p, steps) = run();
+        let compact = CompactStream::record(steps.iter().copied());
         assert_eq!(
             StreamStats::collect_compact(&p, &compact),
-            StreamStats::collect(&p, rec.steps())
+            StreamStats::collect(&p, &steps)
         );
     }
 
@@ -450,8 +341,8 @@ mod tests {
 
     #[test]
     fn compact_collects_from_iterator() {
-        let (p, rec) = run();
-        let compact: CompactStream = rec.replay().collect();
-        assert_eq!(compact.to_recorded(&p), rec);
+        let (p, steps) = run();
+        let compact: CompactStream = steps.iter().copied().collect();
+        assert_eq!(compact.replay(&p).collect::<Vec<_>>(), steps);
     }
 }

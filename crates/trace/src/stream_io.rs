@@ -3,24 +3,24 @@
 //! Record a workload's execution once and replay it offline against any
 //! number of selectors — what the paper's framework does by replaying
 //! Pin-collected block streams. The format is a small fixed-width
-//! little-endian encoding (magic, version, step count, then one record
-//! per step); loading validates every address against the program, so a
-//! stream can never desynchronize silently from the binary it claims to
-//! describe.
+//! little-endian encoding of a [`CompactStream`] (magic, version, step
+//! and taken-branch counts, then its three arrays); loading validates
+//! every block index and tag against the program, so a stream can never
+//! desynchronize silently from the binary it claims to describe.
 
-use crate::stream::{CompactStream, RecordedStream, kind_to_tag, tag_to_kind};
-use rsel_program::{Addr, BranchKind, Entry, Program, Step};
+use crate::stream::CompactStream;
+use rsel_program::{Addr, Program};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"RSEL";
-const VERSION: u16 = 1;
+/// Version 2 is the compact format; version 1 (one full record per
+/// step) is no longer read or written.
 const COMPACT_VERSION: u16 = 2;
 
 const TAG_START: u8 = 0;
 const TAG_FALLTHROUGH: u8 = 1;
-const TAG_TAKEN: u8 = 2;
 
 /// An error loading a recorded stream.
 #[derive(Debug)]
@@ -86,97 +86,6 @@ impl From<io::Error> for StreamIoError {
     fn from(e: io::Error) -> Self {
         StreamIoError::Io(e)
     }
-}
-
-fn kind_tag(kind: BranchKind) -> u8 {
-    kind_to_tag(kind)
-}
-
-fn tag_kind(tag: u8) -> Result<BranchKind, StreamIoError> {
-    tag_to_kind(tag).ok_or(StreamIoError::BadTag(tag))
-}
-
-/// Writes `stream` to `writer` (a `&mut` reference works too, as for
-/// all `W: Write` APIs).
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn save_stream<W: Write>(stream: &RecordedStream, mut writer: W) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&(stream.len() as u64).to_le_bytes())?;
-    for step in stream.steps() {
-        writer.write_all(&step.start.raw().to_le_bytes())?;
-        match step.entry {
-            Entry::Start => writer.write_all(&[TAG_START])?,
-            Entry::Fallthrough => writer.write_all(&[TAG_FALLTHROUGH])?,
-            Entry::Taken { src, kind } => {
-                writer.write_all(&[TAG_TAKEN, kind_tag(kind)])?;
-                writer.write_all(&src.raw().to_le_bytes())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reads a stream from `reader`, resolving every block against
-/// `program`.
-///
-/// # Errors
-///
-/// Returns a [`StreamIoError`] on I/O failure, malformed input, or an
-/// address that is not a block start of `program`.
-pub fn load_stream<R: Read>(
-    program: &Program,
-    mut reader: R,
-) -> Result<RecordedStream, StreamIoError> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(StreamIoError::BadMagic);
-    }
-    let mut u16b = [0u8; 2];
-    reader.read_exact(&mut u16b)?;
-    let version = u16::from_le_bytes(u16b);
-    if version != VERSION {
-        return Err(StreamIoError::BadVersion(version));
-    }
-    let mut u64b = [0u8; 8];
-    reader.read_exact(&mut u64b)?;
-    let count = u64::from_le_bytes(u64b);
-    let mut steps = Vec::with_capacity(count.min(1 << 24) as usize);
-    for _ in 0..count {
-        reader.read_exact(&mut u64b)?;
-        let start = Addr::new(u64::from_le_bytes(u64b));
-        let block = program
-            .block_at(start)
-            .ok_or(StreamIoError::UnknownBlock(start))?
-            .id();
-        let mut tag = [0u8; 1];
-        reader.read_exact(&mut tag)?;
-        let entry = match tag[0] {
-            TAG_START => Entry::Start,
-            TAG_FALLTHROUGH => Entry::Fallthrough,
-            TAG_TAKEN => {
-                let mut kt = [0u8; 1];
-                reader.read_exact(&mut kt)?;
-                let kind = tag_kind(kt[0])?;
-                reader.read_exact(&mut u64b)?;
-                Entry::Taken {
-                    src: Addr::new(u64::from_le_bytes(u64b)),
-                    kind,
-                }
-            }
-            t => return Err(StreamIoError::BadTag(t)),
-        };
-        steps.push(Step {
-            block,
-            start,
-            entry,
-        });
-    }
-    Ok(steps.into_iter().collect())
 }
 
 /// Writes `stream` in the compact (version 2) on-disk format: block
@@ -281,7 +190,7 @@ mod tests {
     use super::*;
     use rsel_program::{BehaviorSpec, Executor, ProgramBuilder};
 
-    fn program_and_stream() -> (Program, RecordedStream) {
+    fn program_and_stream() -> (Program, CompactStream) {
         let mut b = ProgramBuilder::new();
         let f = b.function("main", 0x100);
         let head = b.block(f);
@@ -293,89 +202,50 @@ mod tests {
         let p = b.build().unwrap();
         let mut spec = BehaviorSpec::new(1);
         spec.loop_trips(p.block(body).branch_addr().unwrap(), 20);
-        let stream = RecordedStream::record(Executor::new(&p, spec));
+        let stream = CompactStream::record(Executor::new(&p, spec));
         (p, stream)
     }
 
-    #[test]
-    fn round_trip() {
-        let (p, stream) = program_and_stream();
+    fn saved(stream: &CompactStream) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        let loaded = load_stream(&p, buf.as_slice()).unwrap();
+        save_compact_stream(stream, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn compact_round_trip() {
+        let (p, stream) = program_and_stream();
+        let loaded = load_compact_stream(&p, saved(&stream).as_slice()).unwrap();
         assert_eq!(loaded, stream);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let (p, _) = program_and_stream();
-        let err = load_stream(&p, b"NOPE".as_slice()).unwrap_err();
+        let err = load_compact_stream(&p, b"NOPE".as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::BadMagic), "{err}");
     }
 
     #[test]
     fn truncated_input_is_an_io_error() {
         let (p, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
+        let mut buf = saved(&stream);
         buf.truncate(buf.len() - 3);
-        let err = load_stream(&p, buf.as_slice()).unwrap_err();
+        let err = load_compact_stream(&p, buf.as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::Io(_)), "{err}");
     }
 
     #[test]
-    fn wrong_program_detected() {
+    fn compact_is_denser_than_full_steps() {
         let (_, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        // A different program whose blocks sit elsewhere.
-        let mut b = ProgramBuilder::new();
-        let f = b.function("other", 0x9000);
-        let x = b.block(f);
-        b.ret(x);
-        let other = b.build().unwrap();
-        let err = load_stream(&other, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, StreamIoError::UnknownBlock(_)), "{err}");
-    }
-
-    #[test]
-    fn version_mismatch_detected() {
-        let (p, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        buf[4] = 0xff; // corrupt the version field
-        let err = load_stream(&p, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, StreamIoError::BadVersion(_)), "{err}");
-    }
-
-    #[test]
-    fn compact_round_trip() {
-        let (p, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut buf = Vec::new();
-        save_compact_stream(&compact, &mut buf).unwrap();
-        let loaded = load_compact_stream(&p, buf.as_slice()).unwrap();
-        assert_eq!(loaded, compact);
-        assert_eq!(loaded.to_recorded(&p), stream);
-    }
-
-    #[test]
-    fn compact_is_denser_on_disk() {
-        let (_, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut full = Vec::new();
-        save_stream(&stream, &mut full).unwrap();
-        let mut small = Vec::new();
-        save_compact_stream(&compact, &mut small).unwrap();
-        assert!(small.len() < full.len());
+        let full = stream.len() * std::mem::size_of::<rsel_program::Step>();
+        assert!(saved(&stream).len() < full);
     }
 
     #[test]
     fn compact_rejects_foreign_program() {
         let (_, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut buf = Vec::new();
-        save_compact_stream(&compact, &mut buf).unwrap();
+        let buf = saved(&stream);
         let mut b = ProgramBuilder::new();
         let f = b.function("other", 0x9000);
         let x = b.block(f);
@@ -386,28 +256,20 @@ mod tests {
     }
 
     #[test]
-    fn compact_version_field_distinguishes_formats() {
+    fn retired_v1_format_is_refused() {
         let (p, stream) = program_and_stream();
-        let compact = CompactStream::from_recorded(&stream);
-        let mut buf = Vec::new();
-        save_compact_stream(&compact, &mut buf).unwrap();
-        // The v1 loader refuses a compact stream and vice versa.
-        let err = load_stream(&p, buf.as_slice()).unwrap_err();
-        assert!(matches!(err, StreamIoError::BadVersion(2)), "{err}");
-        let mut v1 = Vec::new();
-        save_stream(&stream, &mut v1).unwrap();
-        let err = load_compact_stream(&p, v1.as_slice()).unwrap_err();
+        let mut buf = saved(&stream);
+        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = load_compact_stream(&p, buf.as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::BadVersion(1)), "{err}");
     }
 
     #[test]
-    fn replayed_stream_drives_identical_simulation() {
-        // The serialized stream is byte-for-byte sufficient to drive a
-        // simulation to the same result as the live executor.
+    fn loaded_stream_replays_the_recording() {
+        // The serialized stream is sufficient to drive a simulation to
+        // the same steps as the live executor.
         let (p, stream) = program_and_stream();
-        let mut buf = Vec::new();
-        save_stream(&stream, &mut buf).unwrap();
-        let loaded = load_stream(&p, buf.as_slice()).unwrap();
-        assert_eq!(loaded.steps(), stream.steps());
+        let loaded = load_compact_stream(&p, saved(&stream).as_slice()).unwrap();
+        assert!(loaded.replay(&p).eq(stream.replay(&p)));
     }
 }
