@@ -7,9 +7,10 @@
 use rsel_bench::harness::{
     RecordedWorkload, record_suite, run_matrix_serial_live, run_matrix_with_jobs, run_one,
 };
-use rsel_core::SimConfig;
 use rsel_core::select::SelectorKind;
 use rsel_core::sim::faults::FaultConfig;
+use rsel_core::{SimConfig, Simulator};
+use rsel_program::Entry;
 use rsel_workloads::{Scale, suite};
 
 /// A fault schedule aggressive enough to fire at Test scale.
@@ -111,5 +112,46 @@ fn suite_sources_are_all_derived() {
     // workload needs a source exception.
     for rec in record_suite(2005, Scale::Test) {
         assert_eq!(rec.decoded().source_exceptions(), 0, "{}", rec.name());
+    }
+}
+
+/// SplitMix64: a tiny seeded generator for picking resume points.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn fresh_simulator_resumes_mid_stream_like_live() {
+    // A reconnecting tenant resumes from a checkpoint on a fresh
+    // simulator: its first step arrives with no predecessor, on the
+    // decoded path exactly as on the live path. Each workload resumes
+    // once at a random step and once at the next fall-through step,
+    // where a stray predecessor would be attributed.
+    let cfg = SimConfig::default();
+    let mut rng = 2005;
+    for rec in record_suite(2005, Scale::Test) {
+        let (p, decoded) = (rec.program(), rec.decoded());
+        let n = decoded.len();
+        let k = 1 + splitmix(&mut rng) as usize % (n - 1);
+        let fall = (k..n).find(|&i| decoded.entry_at(i) == Entry::Fallthrough);
+        for start in std::iter::once(k).chain(fall) {
+            let end = start + 1 + splitmix(&mut rng) as usize % (n - start);
+            for kind in SelectorKind::extended() {
+                let mut replayed = Simulator::new(p, kind.make(p, &cfg), &cfg);
+                replayed.replay_decoded_range(decoded, start, end, true);
+                let mut live = Simulator::new(p, kind.make(p, &cfg), &cfg);
+                live.run((start..end).map(|i| decoded.step_at(i)));
+                assert_eq!(
+                    replayed.report(),
+                    live.report(),
+                    "{} under {kind}, steps [{start}, {end})",
+                    rec.name()
+                );
+            }
+        }
     }
 }

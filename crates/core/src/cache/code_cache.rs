@@ -149,6 +149,14 @@ impl CodeCache {
         self.entries.get(&addr).copied()
     }
 
+    /// Looks up the region entered at `addr` together with its current
+    /// index in [`CodeCache::regions`], if any.
+    #[inline]
+    pub fn lookup_indexed(&self, addr: Addr) -> Option<(RegionId, usize)> {
+        let id = self.lookup(addr)?;
+        Some((id, self.index_of[&id]))
+    }
+
     /// Whether some region is entered at `addr`.
     pub fn contains(&self, addr: Addr) -> bool {
         self.entries.contains_key(&addr)
@@ -247,6 +255,13 @@ impl CodeCache {
         if self.links_out.entry(from).or_default().insert(to) {
             self.links_in.entry(to).or_default().insert(from);
         }
+    }
+
+    /// Whether the lazy link `from → to` is live.
+    pub fn has_link(&self, from: RegionId, to: RegionId) -> bool {
+        self.links_out
+            .get(&from)
+            .is_some_and(|tos| tos.contains(&to))
     }
 
     /// Live inter-region links, as `(from, to)` pairs in unspecified

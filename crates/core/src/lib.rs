@@ -65,4 +65,4 @@ pub use metrics::{ResilienceStats, RunReport};
 pub use rsel_program::fxhash;
 pub use select::{RegionSelector, SelectorKind};
 pub use sim::faults::FaultConfig;
-pub use sim::{ReplayScratch, Simulator};
+pub use sim::{EngineStats, ReplayScratch, Simulator};

@@ -47,6 +47,64 @@ enum Mode {
     },
 }
 
+/// The lazy links last taken into one block (the link memo, keyed by
+/// the target's block index): region `to`, then at `to_idx` in the
+/// cache's region list, was entered here from the exits `from` —
+/// `(region, slot)` pairs, newest first. Every use is validated
+/// against live state first, so a stale entry only costs a miss. Pure
+/// lookup acceleration — never observable in reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LinkMemo {
+    to: RegionId,
+    to_idx: u32,
+    from: [(RegionId, u32); 2],
+}
+
+impl LinkMemo {
+    /// A source no exit matches.
+    const NO_SOURCE: (RegionId, u32) = (RegionId(u32::MAX), u32::MAX);
+
+    /// An unfilled slot: `to_idx` names no region, so it never
+    /// validates.
+    const EMPTY: LinkMemo = LinkMemo {
+        to: RegionId(u32::MAX),
+        to_idx: u32::MAX,
+        from: [LinkMemo::NO_SOURCE; 2],
+    };
+}
+
+/// How the replay engine spent its steps — kept apart from
+/// [`RunReport`] so replay==live parity is untouched. Every counter
+/// moves only on a path that is already cold (a link-memo miss, a
+/// spin-phase attempt) or once per replayed range, so keeping them
+/// costs nothing on the per-step hot path.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Steps executed one at a time through the arrival core.
+    pub steps_stepped: u64,
+    /// Steps applied arithmetically by the spin fast-forward.
+    pub steps_skipped: u64,
+    /// Spin phases the fast-forward tried.
+    pub ff_phases_attempted: u64,
+    /// Spin phases whose verify period held every guard, so the rest
+    /// of the phase was skipped.
+    pub ff_phases_accepted: u64,
+    /// Region transitions taken by stepped steps (the fast-forward's
+    /// skipped periods are excluded).
+    pub transitions_stepped: u64,
+    /// Stepped region transitions the link memo could not serve whole:
+    /// they re-recorded the exit edge and link in the cache's hash
+    /// tables (the target region may still have come from the memo).
+    pub link_memo_misses: u64,
+}
+
+impl EngineStats {
+    /// Stepped region transitions served by the link memo.
+    pub fn link_memo_hits(&self) -> u64 {
+        self.transitions_stepped - self.link_memo_misses
+    }
+}
+
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RegionRuntime {
     executions: u64,
@@ -100,6 +158,10 @@ pub struct Simulator<'p> {
     // list, validated by id before use (indices shift on removal).
     // Pure lookup acceleration — never observable in reports.
     region_idx_hint: usize,
+    // The last lazy links taken into each block, dense by the target's
+    // block index (see `LinkMemo`). Cleared at a full flush, which
+    // restarts region ids.
+    link_memo: Vec<LinkMemo>,
     // Exits observed leaving the cache towards each block:
     // {(region, from block)}, dense by the target's block index.
     exit_edges: Vec<FxHashSet<(RegionId, Addr)>>,
@@ -122,6 +184,9 @@ pub struct Simulator<'p> {
     // drain — the runtime's per-epoch resilience feed.
     invalidation_log: Vec<Addr>,
     resilience: ResilienceStats,
+    engine: EngineStats,
+    // Transitions the spin fast-forward applied arithmetically.
+    transitions_skipped: u64,
 }
 
 impl<'p> Simulator<'p> {
@@ -152,7 +217,8 @@ impl<'p> Simulator<'p> {
         // the hot path never grows them: the dense tables are indexed by
         // block, and region count scales with block count.
         let block_count = program.blocks().len();
-        let (exec_preds, exit_edges, last_pred, runtime, retired) = scratch.prepare(block_count);
+        let (exec_preds, exit_edges, last_pred, link_memo, runtime, retired) =
+            scratch.prepare(block_count);
         Simulator {
             program,
             selector,
@@ -171,6 +237,7 @@ impl<'p> Simulator<'p> {
             exec_preds,
             last_pred,
             region_idx_hint: 0,
+            link_memo,
             exit_edges,
             retired,
             regions_selected: 0,
@@ -183,6 +250,8 @@ impl<'p> Simulator<'p> {
             invalidated_entries: FxHashSet::default(),
             invalidation_log: Vec::new(),
             resilience: ResilienceStats::default(),
+            engine: EngineStats::default(),
+            transitions_skipped: 0,
         }
     }
 
@@ -312,6 +381,14 @@ impl<'p> Simulator<'p> {
         &self.resilience
     }
 
+    /// How the engine spent its steps so far (see [`EngineStats`]).
+    pub fn engine_stats(&self) -> EngineStats {
+        EngineStats {
+            transitions_stepped: self.transitions - self.transitions_skipped,
+            ..self.engine
+        }
+    }
+
     /// Drains the entry addresses of regions killed by
     /// self-modifying-code writes since the last drain, in kill order —
     /// the multi-tenant runtime attributes each to its cache shard at
@@ -397,10 +474,13 @@ impl<'p> Simulator<'p> {
             .extend(Self::region_reports(&self.cache, &self.runtime));
         self.cache.flush();
         self.runtime.clear();
-        // Exit edges refer to now-recycled region ids.
+        // Exit edges and memoized links refer to now-recycled region
+        // ids: a stale memo could validate against a recycled id and
+        // skip the exit-edge insert and link record the flush erased.
         for set in &mut self.exit_edges {
             set.clear();
         }
+        self.link_memo.fill(LinkMemo::EMPTY);
     }
 
     fn report_for(r: &Region, rt: RegionRuntime) -> RegionReport {
@@ -510,7 +590,9 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn enter_region(&mut self, id: RegionId, target: Addr, len: u64) {
+    /// Enters region `id`, live at index `idx` of the cache's region
+    /// list, at its entry `target`.
+    fn enter_region(&mut self, id: RegionId, idx: usize, target: Addr, len: u64) {
         self.runtime[id.index()].executions += 1;
         self.runtime[id.index()].insts_executed += len;
         self.cache_insts += len;
@@ -520,29 +602,87 @@ impl<'p> Simulator<'p> {
             block: target,
             slot: 0,
         };
-        if let Some(idx) = self.cache.region_index(id) {
-            self.region_idx_hint = idx;
+        self.region_idx_hint = idx;
+    }
+
+    /// Enters the region whose entry is `target`, if one is cached.
+    fn try_enter(&mut self, target: Addr, len: u64) -> bool {
+        match self.cache.lookup_indexed(target) {
+            Some((id, idx)) => {
+                self.enter_region(id, idx, target, len);
+                true
+            }
+            None => false,
         }
+    }
+
+    /// Counts a region transition between the live regions at indices
+    /// `from` and `to`, with its layout distance and page crossing.
+    fn count_transition(&mut self, from: usize, to: usize) {
+        let regions = self.cache.regions();
+        let from = regions[from].cache_offset();
+        let to = regions[to].cache_offset();
+        self.transitions += 1;
+        self.transition_distance_sum += from.abs_diff(to);
+        if from / PAGE_BYTES != to / PAGE_BYTES {
+            self.transition_page_crossings += 1;
+        }
+    }
+
+    /// The debug oracle behind every link-memo hit on the exit from
+    /// `from` at `from_block`: the slow path would have found the same
+    /// region and re-recorded nothing new.
+    fn debug_check_link_memo(
+        &self,
+        m: LinkMemo,
+        from: RegionId,
+        from_block: Addr,
+        block_idx: usize,
+        target: Addr,
+    ) {
+        debug_assert_eq!(
+            self.cache.lookup_indexed(target),
+            Some((m.to, m.to_idx as usize)),
+            "memoized link names the entry's live region"
+        );
+        debug_assert!(
+            self.exit_edges[block_idx].contains(&(from, from_block)),
+            "memoized exit edge is still recorded"
+        );
+        debug_assert!(
+            from == m.to || self.cache.has_link(from, m.to),
+            "memoized link {from} -> {} is still live",
+            m.to
+        );
     }
 
     /// Processes one executed block.
     pub fn arrive(&mut self, step: &Step) {
         let len = self.program.block(step.block).len() as u64;
         let program = self.program;
+        self.engine.steps_stepped += 1;
         // `prev` always starts a program block (it came from an
         // executed step); resolve it gracefully regardless — under
         // fault injection a missing block degrades to an unattributed
         // arrival, never a panic.
-        self.arrive_with(step.block.index(), step.start, len, step.entry, |prev| {
-            prev.and_then(|p| program.block_at(p))
-                .map(|b| b.terminator().addr())
-        });
+        self.arrive_with(
+            step.block.index(),
+            step.start,
+            len,
+            || step.entry,
+            |prev| {
+                prev.and_then(|p| program.block_at(p))
+                    .map(|b| b.terminator().addr())
+            },
+        );
     }
 
     /// The single arrival implementation shared by the live path
     /// ([`Simulator::arrive`]) and the decoded batch path, so the two
-    /// cannot drift. `fall_src` resolves the fall-through source from
-    /// the previous block's address — the live path looks it up in the
+    /// cannot drift. `entry` yields how control arrived; it is only
+    /// invoked once execution leaves the cache, so in-cache steps never
+    /// decode it. `fall_src` resolves the fall-through source from the
+    /// previous block's address — the live path looks it up in the
     /// program tables, the decoded path reads a precomputed terminator
     /// table; it is only invoked for fall-through entries.
     #[inline]
@@ -551,7 +691,7 @@ impl<'p> Simulator<'p> {
         block_idx: usize,
         target: Addr,
         len: u64,
-        entry: Entry,
+        entry: impl FnOnce() -> Entry,
         fall_src: impl FnOnce(Option<Addr>) -> Option<Addr>,
     ) {
         // Scheduled faults strike before the block runs (draw-free and
@@ -624,20 +764,56 @@ impl<'p> Simulator<'p> {
                             return;
                         }
                         TransferClass::Exit => {
+                            // A patched exit stub jumps straight to the
+                            // linked region. The memo remembers the
+                            // region last linked into this block; it
+                            // holds only if still live where the memo
+                            // saw it, under the same id and entry
+                            // (entries are unique, so that *is*
+                            // `cache.lookup(target)`).
+                            let m = self.link_memo[block_idx];
+                            let to_idx = m.to_idx as usize;
+                            let memo_to = self
+                                .cache
+                                .regions()
+                                .get(to_idx)
+                                .is_some_and(|r| r.id() == m.to && r.entry() == target);
+                            let src = (region, slot);
+                            if memo_to && (m.from[0] == src || m.from[1] == src) {
+                                // A remembered exit: its exit edge and
+                                // link were recorded when the memo was
+                                // filled and still stand (ids are never
+                                // reused within a generation, regions
+                                // never change in the cache, and a
+                                // flush clears the memo).
+                                self.debug_check_link_memo(m, region, block, block_idx, target);
+                                self.count_transition(i, to_idx);
+                                self.enter_region(m.to, to_idx, target, len);
+                                return;
+                            }
                             self.exit_edges[block_idx].insert((region, block));
-                            if let Some(r2) = self.cache.lookup(target) {
-                                // Lazy linking: the exit stub jumps
-                                // straight to the other region — a
-                                // region transition.
-                                self.transitions += 1;
+                            let linked = if memo_to {
+                                Some((m.to, to_idx))
+                            } else {
+                                self.cache.lookup_indexed(target)
+                            };
+                            debug_assert_eq!(linked, self.cache.lookup_indexed(target));
+                            if let Some((r2, j)) = linked {
+                                // Lazy linking: a region transition.
+                                self.engine.link_memo_misses += 1;
                                 self.cache.record_link(region, r2);
-                                let from = self.cache.region(region).cache_offset();
-                                let to = self.cache.region(r2).cache_offset();
-                                self.transition_distance_sum += from.abs_diff(to);
-                                if from / PAGE_BYTES != to / PAGE_BYTES {
-                                    self.transition_page_crossings += 1;
-                                }
-                                self.enter_region(r2, target, len);
+                                let older = if memo_to {
+                                    m.from[0]
+                                } else {
+                                    LinkMemo::NO_SOURCE
+                                };
+                                self.link_memo[block_idx] = LinkMemo {
+                                    to: r2,
+                                    to_idx: j as u32,
+                                    from: [src, older],
+                                };
+                                self.count_transition(i, j);
+                                self.enter_region(r2, j, target, len);
                                 return;
                             }
                             // Exit to the interpreter; fall through to
@@ -657,7 +833,7 @@ impl<'p> Simulator<'p> {
 
         // --- Interpreter arrival ---------------------------------------
         let from_exit = std::mem::take(&mut self.pending_exit);
-        match entry {
+        match entry() {
             Entry::Taken { src, .. } => {
                 if !from_exit {
                     self.interpreted_taken += 1;
@@ -668,8 +844,7 @@ impl<'p> Simulator<'p> {
                 }
                 // "At every interpreted taken branch, the system decides
                 // whether to switch ... to executing a region" (§2.1).
-                if let Some(rid) = self.cache.lookup(target) {
-                    self.enter_region(rid, target, len);
+                if self.try_enter(target, len) {
                     return;
                 }
                 let done = self.selector.on_arrival(
@@ -684,8 +859,7 @@ impl<'p> Simulator<'p> {
                 self.insert_regions(done);
                 // "jump newT" (Figure 5, line 15): a freshly selected
                 // region whose entry is this target is entered at once.
-                if let Some(rid) = self.cache.lookup(target) {
-                    self.enter_region(rid, target, len);
+                if self.try_enter(target, len) {
                     return;
                 }
             }
@@ -837,6 +1011,31 @@ mod tests {
         let net = run_kind(SelectorKind::Net, interproc_loop, 1, &cfg);
         // NET's two traces bounce between each other every iteration.
         assert!(net.region_transitions > 10_000);
+    }
+
+    #[test]
+    fn link_memo_serves_repeated_transitions() {
+        // A memo that never hit would pass every parity test unnoticed:
+        // NET's two traces bounce through the same two exits every
+        // iteration, so all but the first crossing of each must hit.
+        let cfg = SimConfig::default();
+        let mut s = ScenarioBuilder::new(1);
+        interproc_loop(&mut s);
+        let (p, spec) = s.build().unwrap();
+        let mut sim = Simulator::new(&p, SelectorKind::Net.make(&p, &cfg), &cfg);
+        let steps: Vec<Step> = Executor::new(&p, spec).collect();
+        sim.run(steps.iter().copied());
+        let e = sim.engine_stats();
+        assert_eq!(e.steps_stepped, steps.len() as u64);
+        assert_eq!((e.steps_skipped, e.ff_phases_attempted), (0, 0));
+        assert_eq!(e.transitions_stepped, sim.report().region_transitions);
+        assert!(e.link_memo_misses > 0, "the first crossing fills the memo");
+        assert!(
+            e.link_memo_hits() > 10 * e.link_memo_misses,
+            "memo hits {} vs misses {}",
+            e.link_memo_hits(),
+            e.link_memo_misses
+        );
     }
 
     #[test]

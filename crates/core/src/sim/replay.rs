@@ -38,7 +38,7 @@
 //! fast-forward is disabled outright while a fault injector is active:
 //! skipping steps would desynchronize the per-block fault schedule.
 
-use super::{Mode, RegionRuntime, Simulator};
+use super::{LinkMemo, Mode, RegionRuntime, Simulator};
 use crate::cache::RegionId;
 use crate::fxhash::FxHashSet;
 use crate::metrics::report::{RegionReport, ResilienceStats};
@@ -58,6 +58,7 @@ pub struct ReplayScratch {
     exec_preds: Vec<FxHashSet<Addr>>,
     exit_edges: Vec<FxHashSet<(RegionId, Addr)>>,
     last_pred: Vec<u64>,
+    link_memo: Vec<LinkMemo>,
     runtime: Vec<RegionRuntime>,
     retired: Vec<RegionReport>,
 }
@@ -68,6 +69,7 @@ pub(super) type PreparedBuffers = (
     Vec<FxHashSet<Addr>>,
     Vec<FxHashSet<(RegionId, Addr)>>,
     Vec<u64>,
+    Vec<LinkMemo>,
     Vec<RegionRuntime>,
     Vec<RegionReport>,
 );
@@ -80,6 +82,7 @@ impl ReplayScratch {
             mut exec_preds,
             mut exit_edges,
             mut last_pred,
+            mut link_memo,
             mut runtime,
             mut retired,
         } = self;
@@ -93,10 +96,14 @@ impl ReplayScratch {
         exit_edges.resize(block_count, FxHashSet::default());
         last_pred.clear();
         last_pred.resize(block_count, u64::MAX);
+        link_memo.clear();
+        link_memo.resize(block_count, LinkMemo::EMPTY);
         runtime.clear();
         runtime.reserve(block_count);
         retired.clear();
-        (exec_preds, exit_edges, last_pred, runtime, retired)
+        (
+            exec_preds, exit_edges, last_pred, link_memo, runtime, retired,
+        )
     }
 }
 
@@ -144,6 +151,7 @@ impl<'p> Simulator<'p> {
             exec_preds: self.exec_preds,
             exit_edges: self.exit_edges,
             last_pred: self.last_pred,
+            link_memo: self.link_memo,
             runtime: self.runtime,
             retired: self.retired,
         }
@@ -190,6 +198,7 @@ impl<'p> Simulator<'p> {
             "ranges must continue the same stream on the same simulator \
              (only a fresh simulator may resume mid-stream)"
         );
+        let skipped_before = self.engine.steps_skipped;
         let phases = stream.phases();
         let ff = fast_forward && !self.injector.active();
         let mut pp = phases.partition_point(|ph| (ph.start as usize) < start);
@@ -216,6 +225,8 @@ impl<'p> Simulator<'p> {
             self.exec_decoded(stream, i);
             i += 1;
         }
+        let skipped = self.engine.steps_skipped - skipped_before;
+        self.engine.steps_stepped += (end - start) as u64 - skipped;
     }
 
     /// Executes step `i` of the decoded stream through the shared
@@ -225,19 +236,23 @@ impl<'p> Simulator<'p> {
         let bidx = stream.block_index(i);
         let target = stream.block_start(bidx);
         let len = u64::from(stream.block_len(bidx));
-        let entry = stream.entry_at(i);
         let program = self.program;
-        self.arrive_with(bidx, target, len, entry, |prev| {
-            if i > 0 {
+        self.arrive_with(
+            bidx,
+            target,
+            len,
+            || stream.entry_at(i),
+            |prev| match prev {
+                // A fresh simulator resuming mid-stream arrives with no
+                // predecessor, like the live path.
+                None => None,
                 // The previous step of a contiguous replay is the
                 // previous stream entry; its terminator address was
                 // resolved once at decode time.
-                Some(stream.term_addr(stream.block_index(i - 1)))
-            } else {
-                prev.and_then(|p| program.block_at(p))
-                    .map(|b| b.terminator().addr())
-            }
-        });
+                Some(_) if i > 0 => Some(stream.term_addr(stream.block_index(i - 1))),
+                Some(p) => program.block_at(p).map(|b| b.terminator().addr()),
+            },
+        );
     }
 
     /// Runs one detected spin phase spanning steps `[start, phase_end)`
@@ -259,6 +274,7 @@ impl<'p> Simulator<'p> {
         period: usize,
         phase_end: usize,
     ) -> usize {
+        self.engine.ff_phases_attempted += 1;
         let mut i = start;
         let mut warm_touched: Vec<usize> = Vec::with_capacity(period + 1);
         let mut verify_touched: Vec<usize> = Vec::with_capacity(period + 1);
@@ -302,6 +318,9 @@ impl<'p> Simulator<'p> {
             if let Some(delta) = self.ff_delta(&snap) {
                 let skip = (phase_end - i) / period;
                 self.ff_apply(&delta, skip as u64);
+                self.engine.ff_phases_accepted += 1;
+                self.engine.steps_skipped += (skip * period) as u64;
+                self.transitions_skipped += delta.transitions * skip as u64;
                 return i + skip * period;
             }
         }
@@ -487,6 +506,28 @@ mod tests {
             off.replay_decoded_range(&decoded, 0, decoded.len(), false);
             assert_eq!(on.report(), off.report(), "{kind}");
         }
+    }
+
+    #[test]
+    fn engine_stats_account_for_every_step() {
+        let cfg = SimConfig::default();
+        let (p, stream) = recorded(interproc_loop, 1);
+        let decoded = DecodedStream::decode(stream, &p);
+        let mut on = Simulator::new(&p, SelectorKind::Net.make(&p, &cfg), &cfg);
+        on.replay_decoded(&decoded);
+        let e = on.engine_stats();
+        assert_eq!(e.steps_stepped + e.steps_skipped, decoded.len() as u64);
+        assert!(e.steps_skipped > 0 && e.ff_phases_accepted > 0);
+        assert!(e.ff_phases_accepted <= e.ff_phases_attempted);
+        assert!(e.link_memo_hits() > 0);
+        // Stepping every step sees every transition, each a memo hit
+        // or a miss.
+        let mut off = Simulator::new(&p, SelectorKind::Net.make(&p, &cfg), &cfg);
+        off.replay_decoded_range(&decoded, 0, decoded.len(), false);
+        let e = off.engine_stats();
+        assert_eq!(e.steps_stepped, decoded.len() as u64);
+        assert_eq!(e.transitions_stepped, off.report().region_transitions);
+        assert!(e.link_memo_hits() > e.link_memo_misses);
     }
 
     #[test]

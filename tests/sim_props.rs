@@ -3,9 +3,10 @@
 
 use proptest::prelude::*;
 use regionsel::core::select::SelectorKind;
-use regionsel::core::{RunReport, SimConfig, Simulator};
+use regionsel::core::{EngineStats, FaultConfig, RunReport, SimConfig, Simulator};
 use regionsel::program::patterns::ScenarioBuilder;
 use regionsel::program::{BehaviorSpec, Executor, Program};
+use regionsel::trace::{CompactStream, DecodedStream};
 
 /// One element of a randomly composed driver-loop body.
 #[derive(Clone, Debug)]
@@ -94,6 +95,91 @@ fn run(p: &Program, spec: BehaviorSpec, kind: SelectorKind, cfg: &SimConfig) -> 
     sim.report()
 }
 
+/// Low thresholds so selection happens even on short runs.
+fn eager_config() -> SimConfig {
+    SimConfig {
+        net_threshold: 8,
+        lei_threshold: 6,
+        t_prof: 4,
+        t_min: 2,
+        boa_threshold: 5,
+        wr_sample_period: 13,
+        wr_sample_threshold: 3,
+        adore_sample_period: 7,
+        adore_path_threshold: 2,
+        mojo_exit_threshold: 4,
+        ..SimConfig::default()
+    }
+}
+
+/// What happens to the simulator between two execution ranges.
+#[derive(Clone, Debug)]
+enum Between {
+    Nothing,
+    /// Evict up to two live regions, newest first, every `n`-th one —
+    /// re-selection then tends to land a new id at an evicted index.
+    Evict(usize),
+    /// Switch to the selector at this index of
+    /// [`SelectorKind::extended`].
+    Switch(usize),
+}
+
+fn between_strategy() -> impl Strategy<Value = Between> {
+    prop_oneof![
+        Just(Between::Nothing),
+        (1usize..=3).prop_map(Between::Evict),
+        (0usize..8).prop_map(Between::Switch),
+    ]
+}
+
+/// Executes `stream` in the given ranges on a fresh simulator, applying
+/// each range's `Between` action after it — through the decoded batch
+/// path, or step by step through the live path.
+fn run_interleaved(
+    p: &Program,
+    stream: &DecodedStream,
+    kind: SelectorKind,
+    cfg: &SimConfig,
+    plan: &[(usize, Between)],
+    decoded: bool,
+) -> (RunReport, EngineStats) {
+    let kinds = SelectorKind::extended();
+    let mut sim = Simulator::new(p, kind.make(p, cfg), cfg);
+    let mut at = 0;
+    for (len, action) in plan {
+        let end = (at + len).min(stream.len());
+        if decoded {
+            sim.replay_decoded_range(stream, at, end, true);
+        } else {
+            sim.run((at..end).map(|i| stream.step_at(i)));
+        }
+        at = end;
+        match *action {
+            Between::Nothing => {}
+            Between::Evict(n) => {
+                let ids: Vec<_> = sim
+                    .cache()
+                    .regions()
+                    .iter()
+                    .rev()
+                    .step_by(n)
+                    .take(2)
+                    .map(|r| r.id())
+                    .collect();
+                sim.evict_regions(&ids);
+            }
+            Between::Switch(k) => {
+                sim.set_selector(kinds[k].make(p, cfg));
+            }
+        }
+        // Lazy links only ever join live regions.
+        for (from, to) in sim.cache().links() {
+            assert!(sim.cache().try_region(from).is_ok() && sim.cache().try_region(to).is_ok());
+        }
+    }
+    (sim.report(), sim.engine_stats())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -102,20 +188,7 @@ proptest! {
         trips in 30u32..400,
         seed in 0u64..1_000,
     ) {
-        // Low thresholds so selection happens even on short runs.
-        let cfg = SimConfig {
-            net_threshold: 8,
-            lei_threshold: 6,
-            t_prof: 4,
-            t_min: 2,
-            boa_threshold: 5,
-            wr_sample_period: 13,
-            wr_sample_threshold: 3,
-            adore_sample_period: 7,
-            adore_path_threshold: 2,
-            mojo_exit_threshold: 4,
-            ..SimConfig::default()
-        };
+        let cfg = eager_config();
         let (p, spec) = build(&ops, trips, seed);
         let mut totals = Vec::new();
         for kind in SelectorKind::extended() {
@@ -173,5 +246,52 @@ proptest! {
             "cache {} over capacity {capacity}",
             sim.cache().size_estimate(cfg.stub_bytes)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The link memo under everything that kills, recycles or re-forms
+    /// regions: evictions, bounded-cache flushes (region ids restart),
+    /// SMC invalidations and flush waves, and selector switches,
+    /// interleaved with execution ranges. Debug builds check every memo
+    /// hit against the slow path it replaces; here the batch replay
+    /// must also stay report-identical to the live path.
+    #[test]
+    fn link_memo_survives_eviction_flush_and_faults(
+        ops in prop::collection::vec(op_strategy(), 1..6),
+        trips in 30u32..300,
+        seed in 0u64..1_000,
+        kind in 0usize..8,
+        capacity in prop_oneof![Just(None), (20u64..400).prop_map(Some)],
+        smc_write_ppm in prop_oneof![Just(0u32), 100u32..2_000],
+        flush_wave_ppm in prop_oneof![Just(0u32), 100u32..1_000],
+        plan in prop::collection::vec((1usize..4_000, between_strategy()), 1..24),
+    ) {
+        let cfg = SimConfig {
+            cache_capacity: capacity,
+            faults: FaultConfig {
+                seed,
+                smc_write_ppm,
+                flush_wave_ppm,
+                ..FaultConfig::default()
+            },
+            ..eager_config()
+        };
+        let (p, spec) = build(&ops, trips, seed);
+        let stream = DecodedStream::decode(
+            CompactStream::record(Executor::new(&p, spec).take(40_000)),
+            &p,
+        );
+        let kind = SelectorKind::extended()[kind];
+        let (replayed, re) = run_interleaved(&p, &stream, kind, &cfg, &plan, true);
+        let (live, le) = run_interleaved(&p, &stream, kind, &cfg, &plan, false);
+        prop_assert_eq!(&replayed, &live, "{}", kind);
+        let executed: usize = plan.iter().map(|(len, _)| len).sum::<usize>().min(stream.len());
+        prop_assert_eq!(re.steps_stepped + re.steps_skipped, executed as u64);
+        prop_assert_eq!(le.steps_stepped, executed as u64);
+        prop_assert_eq!(le.transitions_stepped, live.region_transitions);
+        prop_assert!(re.link_memo_misses <= re.transitions_stepped);
     }
 }
