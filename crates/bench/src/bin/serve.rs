@@ -89,7 +89,7 @@
 //! covers the invariant at test scale.
 
 use rsel_bench::harness::DEFAULT_SEED;
-use rsel_bench::jobs_from_env;
+use rsel_bench::{env_knob, jobs_from_env};
 use rsel_core::SelectorKind;
 use rsel_runtime::{
     ChurnConfig, ServeConfig, ServeOutcome, ServeReport, ServeSnapshot, TenantSpec, WarmStart,
@@ -97,18 +97,6 @@ use rsel_runtime::{
 };
 use rsel_workloads::Scale;
 use std::time::Instant;
-
-/// Parses env var `name` as a `u64`, defaulting when unset. A set but
-/// unparsable value is a hard error — a typo must not silently serve
-/// an unfaulted run.
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an unsigned integer, got {v:?}")),
-        Err(_) => default,
-    }
-}
 
 fn main() {
     let jobs = jobs_from_env();
@@ -121,12 +109,12 @@ fn main() {
     let snapshot_path = std::env::var_os("RSEL_SNAPSHOT").map(std::path::PathBuf::from);
 
     let mut config = ServeConfig::default();
-    config.sim.faults.smc_write_ppm = env_u64("RSEL_SMC_PPM", 0) as u32;
-    config.sim.faults.smc_max_span = env_u64("RSEL_SMC_SPAN", 64);
-    config.sim.faults.seed = env_u64("RSEL_SMC_SEED", 0);
-    config.sim.faults.flush_wave_ppm = env_u64("RSEL_FLUSH_PPM", 0) as u32;
-    config.sim.faults.counter_fault_ppm = env_u64("RSEL_CTR_PPM", 0) as u32;
-    config.sim.faults.blacklist_after = env_u64("RSEL_BLACKLIST_AFTER", 3) as u32;
+    config.sim.faults.smc_write_ppm = env_knob("RSEL_SMC_PPM", 0);
+    config.sim.faults.smc_max_span = env_knob("RSEL_SMC_SPAN", 64);
+    config.sim.faults.seed = env_knob("RSEL_SMC_SEED", 0);
+    config.sim.faults.flush_wave_ppm = env_knob("RSEL_FLUSH_PPM", 0);
+    config.sim.faults.counter_fault_ppm = env_knob("RSEL_CTR_PPM", 0);
+    config.sim.faults.blacklist_after = env_knob("RSEL_BLACKLIST_AFTER", 3);
     config
         .sim
         .faults
@@ -146,20 +134,20 @@ fn main() {
     }
 
     config.churn = ChurnConfig {
-        seed: env_u64("RSEL_CHURN_SEED", 0),
-        arrival_spread: env_u64("RSEL_CHURN_SPREAD", 0),
-        max_disconnects: env_u64("RSEL_CHURN_DISCONNECTS", 0) as u32,
-        max_gap: env_u64("RSEL_CHURN_GAP", 4),
-        crash_percent: env_u64("RSEL_CHURN_CRASH_PCT", 0) as u8,
+        seed: env_knob("RSEL_CHURN_SEED", 0),
+        arrival_spread: env_knob("RSEL_CHURN_SPREAD", 0),
+        max_disconnects: env_knob("RSEL_CHURN_DISCONNECTS", 0),
+        max_gap: env_knob("RSEL_CHURN_GAP", 4),
+        crash_percent: env_knob("RSEL_CHURN_CRASH_PCT", 0),
     };
-    config.checkpoint_every = env_u64("RSEL_CHECKPOINT_EVERY", 0);
-    config.admission_timeout = env_u64("RSEL_ADMIT_TIMEOUT", 0);
+    config.checkpoint_every = env_knob("RSEL_CHECKPOINT_EVERY", 0);
+    config.admission_timeout = env_knob("RSEL_ADMIT_TIMEOUT", 0);
     config.reconnect_cold = std::env::var_os("RSEL_RECONNECT_COLD").is_some();
-    config.share = env_u64("RSEL_SHARE", 0) != 0;
-    config.quarantine_penalty = env_u64("RSEL_QUARANTINE_PENALTY", 0);
-    config.utility_evict = env_u64("RSEL_UTILITY_EVICT", 0) != 0;
-    config.shard_count = env_u64("RSEL_SHARDS", config.shard_count as u64).max(1) as usize;
-    config.shard_capacity = env_u64("RSEL_SHARD_CAP", config.shard_capacity);
+    config.share = env_knob::<u64>("RSEL_SHARE", 0) != 0;
+    config.quarantine_penalty = env_knob("RSEL_QUARANTINE_PENALTY", 0);
+    config.utility_evict = env_knob::<u64>("RSEL_UTILITY_EVICT", 0) != 0;
+    config.shard_count = env_knob("RSEL_SHARDS", config.shard_count);
+    config.shard_capacity = env_knob("RSEL_SHARD_CAP", config.shard_capacity);
     // The policy engine needs the serving epoch length to size each
     // tenant's explore schedule against its stream.
     config.policy.epoch_len = config.epoch_len;
@@ -185,7 +173,7 @@ fn main() {
     if config.utility_evict {
         eprintln!("utility eviction enabled: victims ranked by bytes per recent cached inst");
     }
-    let replicas = env_u64("RSEL_REPLICAS", 1).max(1) as usize;
+    let replicas = env_knob::<usize>("RSEL_REPLICAS", 1).max(1);
     if let Err(e) = config.churn.check() {
         eprintln!("FAIL: RSEL_CHURN_* knobs rejected: {e}");
         std::process::exit(1);

@@ -31,6 +31,7 @@ use rsel_runtime::TenantSpec;
 use rsel_trace::DecodedStream;
 use rsel_workloads::{Scale, Workload, suite};
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -145,6 +146,28 @@ pub fn jobs_from_env() -> usize {
             }
         },
         Err(_) => fallback(),
+    }
+}
+
+/// Reads environment knob `name` as its field's type `T`, or
+/// `default` when the variable is unset.
+///
+/// # Panics
+///
+/// If the variable is set to anything that does not parse as a `T` —
+/// a typo, or a number outside `T`'s range — so a bad knob fails the
+/// run instead of silently serving another configuration.
+pub fn env_knob<T: FromStr>(name: &str, default: T) -> T {
+    parse_knob(name, std::env::var(name).ok().as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`env_knob`]'s parser over the variable's value (`None` when unset).
+fn parse_knob<T: FromStr>(name: &str, value: Option<&str>, default: T) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} must be a {}, got {v:?}", std::any::type_name::<T>())),
     }
 }
 
@@ -343,6 +366,27 @@ pub fn run_matrix_from_env(kinds: &[SelectorKind], config: &SimConfig) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knobs_parse_into_their_fields_type_or_fail() {
+        assert_eq!(parse_knob("K", None, 7u8), Ok(7));
+        assert_eq!(parse_knob("K", Some("44"), 0u8), Ok(44));
+        assert_eq!(
+            parse_knob("K", Some("0"), 16usize),
+            Ok(0),
+            "zero is passed on"
+        );
+        // Out of range for the field is as hard an error as a typo.
+        assert_eq!(
+            parse_knob("RSEL_CHURN_CRASH_PCT", Some("300"), 0u8),
+            Err("RSEL_CHURN_CRASH_PCT must be a u8, got \"300\"".to_string())
+        );
+        assert!(parse_knob("K", Some("4294967496"), 0u32).is_err());
+        assert_eq!(parse_knob("K", Some("4294967295"), 0u32), Ok(u32::MAX));
+        assert!(parse_knob("K", Some("-1"), 0u64).is_err());
+        assert!(parse_knob("K", Some("12x"), 0u64).is_err());
+        assert!(parse_knob("K", Some(""), 0u64).is_err());
+    }
 
     #[test]
     fn matrix_covers_all_cells() {

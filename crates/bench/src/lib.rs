@@ -19,7 +19,8 @@ pub mod harness;
 pub mod table;
 
 pub use harness::{
-    DEFAULT_SEED, MatrixResults, RecordedWorkload, jobs_from_env, record_suite, replay_matrix,
-    run_matrix, run_matrix_from_env, run_matrix_serial_live, run_matrix_with_jobs, run_one,
+    DEFAULT_SEED, MatrixResults, RecordedWorkload, env_knob, jobs_from_env, record_suite,
+    replay_matrix, run_matrix, run_matrix_from_env, run_matrix_serial_live, run_matrix_with_jobs,
+    run_one,
 };
 pub use table::{Table, geomean};

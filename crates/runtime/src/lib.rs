@@ -8,7 +8,7 @@
 //! policy wins across workloads and phases, so the selector must be
 //! picked per tenant, online.
 //!
-//! Four pieces:
+//! Six pieces:
 //!
 //! - [`shard`] — a **sharded shared code cache**: every tenant still
 //!   owns its region namespace (regions from different programs can
@@ -16,6 +16,7 @@
 //!   capacity, accounted across N fxhash-addressed shards with
 //!   per-shard locking. A shard over its byte budget triggers a
 //!   pressure wave that sheds the heaviest tenants' oldest regions
+//!   (or, under [`ServeConfig::utility_evict`], the coldest bulk)
 //!   through the resilience hooks (`Simulator::evict_regions`), so
 //!   evictions show up in each tenant's [`ResilienceStats`]
 //!   (reformations, severed links, recovery transitions) exactly like

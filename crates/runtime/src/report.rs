@@ -94,7 +94,7 @@ pub struct ShardReport {
 }
 
 /// One tenant's serving summary.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantSummary {
     /// Tenant id (admission order).
     pub tenant: u16,

@@ -28,11 +28,20 @@
 //!    (finished, disconnecting, and crashing tenants release their
 //!    shard bytes; disconnects checkpoint first, crashes rewind to
 //!    their last checkpoint), shard-pressure eviction (each
-//!    overflowing shard plans its whole victim set — heaviest tenant
-//!    sheds the oldest half of its regions there, repeatedly, until
-//!    the shard fits — then applies it with one eviction pass per
-//!    victim tenant), per-tenant policy decisions, and periodic
-//!    checkpoints.
+//!    overflowing shard plans its whole victim set, then applies it
+//!    with one eviction pass per victim tenant: without sharing, the
+//!    heaviest tenant sheds the oldest half of its regions there —
+//!    with utility eviction, the tenant with the most bytes per
+//!    recent cached instruction sheds its coldest half — repeatedly,
+//!    until the shard fits), per-tenant policy decisions, and
+//!    periodic checkpoints.
+//!
+//! In code each round is one call per phase on the scheduler, in this
+//! order: `arrive`, `admit`, `execute` (the only parallel phase),
+//! `depart`, `relieve_pressure`, `decide`, and `checkpoint`; `finish`
+//! assembles the reports. Everything the scheduler knows about one
+//! tenant lives in one record, so a per-tenant field is added in one
+//! place.
 //!
 //! # Churn and chaos
 //!
@@ -54,24 +63,22 @@
 //! next run can warm-start from it.
 
 use crate::churn::{ChaosConfig, ChurnConfig, LifecycleKind, TenantLifecycle};
-use crate::policy::{
-    PolicyConfig, PolicyEngine, PolicyFeatures, SwitchRecord, derive_tenant_policy,
-};
+use crate::policy::{PolicyConfig, PolicyEngine, PolicyState, SwitchRecord, derive_tenant_policy};
 use crate::report::{
     DipTracker, QueueStats, ServeOutcome, ServeReport, ShardReport, TenantSummary, wait_bucket,
 };
 use crate::session::{EpochStats, TenantSession, TenantSpec};
-use crate::shard::SharedCacheMap;
+use crate::shard::{SharedCacheMap, plan_shed};
 use crate::snapshot::{
     ServeSnapshot, SnapshotError, TenantSnapshot, WarmStart, tenant_snapshot_bytes,
 };
 use crate::store::{RegionStore, StoreShardStats, debug_check_consistency};
-use rsel_core::{RegionId, SimConfig};
+use rsel_core::SimConfig;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Derives tenant `tenant`'s fault-schedule seed from the run's base
 /// seed (a SplitMix64-style finalizer over the pair).
@@ -301,65 +308,21 @@ struct Checkpoint {
     epoch: u64,
 }
 
-/// What one active session did this round.
-#[derive(Clone, Copy, Debug)]
-enum Outcome {
-    /// The epoch completed and produced deltas.
-    Ran(EpochStats),
-    /// The session panicked mid-epoch (or its lock was found
-    /// poisoned) — the tenant is quarantined at the barrier.
-    Crashed,
-}
-
-/// Cross-session accounting for one tenant: epoch deltas accumulate
-/// every round (so crash-recovery re-execution is counted as the work
-/// it is), and each torn-down session's monotone counters fold in
-/// exactly once (at teardown, or at the end for the final session).
-#[derive(Clone, Debug, Default)]
-struct Ledger {
-    epochs: u64,
-    total_insts: u64,
-    cache_insts: u64,
-    insts_selected: u64,
-    regions_selected: u64,
-    smc_events: u64,
-    smc_invalidated: u64,
-    pressure_evicted: u64,
-    reformations: u64,
-    blacklisted_targets: u64,
-    blacklist_hits: u64,
-    smc_by_shard: Vec<u64>,
-    disconnects: u64,
-    reconnects: u64,
-    crashes: u64,
-    recovered_epochs: u64,
-    checkpoints: u64,
-    checkpoint_bytes: u64,
-    /// Switch decisions a crash rewound the engine past — the log
-    /// keeps them (they happened), the restored engine does not.
-    forgotten_switches: u64,
-    quarantined: bool,
-}
-
-impl Ledger {
-    fn fold_epoch(&mut self, e: &EpochStats) {
-        self.epochs += 1;
-        self.total_insts += e.insts;
-        self.cache_insts += e.cache_insts;
-        self.insts_selected += e.insts_selected;
-        self.regions_selected += e.regions_selected;
-        self.smc_events += e.smc_events;
-        self.smc_invalidated += e.smc_invalidated;
-    }
-
-    fn fold_session(&mut self, session: &TenantSession<'_>) {
-        let res = session.resilience();
-        self.pressure_evicted += res.pressure_evicted_regions;
-        self.reformations += res.reformations;
-        self.blacklisted_targets += res.blacklisted_targets;
-        self.blacklist_hits += res.blacklist_hits;
-        for (s, &n) in session.smc_by_shard().iter().enumerate() {
-            self.smc_by_shard[s] += n;
+impl Checkpoint {
+    /// Captures `session` where its stream stands now and counts the
+    /// checkpoint in the tenant's `summary`.
+    fn capture(
+        session: &TenantSession<'_>,
+        engine: &PolicyEngine,
+        summary: &mut TenantSummary,
+    ) -> Self {
+        let snap = freeze_tenant(session, engine);
+        summary.checkpoints += 1;
+        summary.checkpoint_bytes = tenant_snapshot_bytes(&snap);
+        Checkpoint {
+            snap,
+            pos: session.pos(),
+            epoch: summary.epochs,
         }
     }
 }
@@ -375,42 +338,841 @@ fn freeze_tenant(session: &TenantSession<'_>, engine: &PolicyEngine) -> TenantSn
     }
 }
 
-/// Builds the session a (re)admitted tenant runs on: warm from its
-/// checkpoint when one exists (or cold-at-position under
-/// `reconnect_cold`), cold from the top otherwise.
-fn rebuild_session<'p>(
-    t: usize,
+/// A tenant's session slot. Workers lock it during a round; the
+/// barrier reaches it through [`slot`].
+type SessionSlot<'p> = Mutex<Option<TenantSession<'p>>>;
+
+/// Barrier-side access to a session slot. A slot poisoned by a
+/// panicking epoch still holds the session's last consistent state
+/// (the tenant is quarantined with its partial metrics kept).
+fn slot<'s, 'p>(cell: &'s mut SessionSlot<'p>) -> &'s mut Option<TenantSession<'p>> {
+    cell.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Everything the scheduler keeps about one tenant: its fixed inputs,
+/// its live session and policy engine, its admission state, and the
+/// report row it accumulates.
+///
+/// Epoch deltas accumulate into the row every round (so
+/// crash-recovery re-execution is counted as the work it is), and each
+/// torn-down session's monotone counters fold in exactly once (at
+/// teardown, or at the end for the final session).
+struct Tenant<'p> {
+    id: u16,
     spec: &'p TenantSpec,
-    sim_config: &SimConfig,
-    engine: &PolicyEngine,
-    checkpoint: Option<&Checkpoint>,
-    config: &ServeConfig,
-) -> TenantSession<'p> {
-    let cold = |pos: usize| {
-        let mut s = TenantSession::new(
-            t as u16,
-            spec,
-            engine.current(),
-            sim_config,
-            config.shard_count,
-        );
-        s.seek(pos);
-        s
-    };
-    match checkpoint {
-        None => cold(0),
-        Some(cp) if config.reconnect_cold => cold(cp.pos),
-        Some(cp) => {
-            match TenantSession::restore(t as u16, spec, &cp.snap, sim_config, config.shard_count) {
-                Ok(mut s) => {
-                    s.seek(cp.pos);
-                    s
+    /// The simulator configuration, with the tenant's own fault seed.
+    sim: SimConfig,
+    /// The policy configuration derived from the tenant's stream.
+    policy: PolicyConfig,
+    lifecycle: TenantLifecycle,
+    /// The next lifecycle event to fire.
+    next_event: usize,
+    engine: PolicyEngine,
+    /// `None` while the tenant is offline.
+    session: SessionSlot<'p>,
+    checkpoint: Option<Checkpoint>,
+    /// Switches the warm-start snapshot already counted.
+    warm_switches: u64,
+    /// This round's epoch deltas, read only for tenants in the round's
+    /// active set; `None` when the session panicked mid-epoch (or its
+    /// lock was found poisoned) and is quarantined at the barrier.
+    epoch: Option<EpochStats>,
+    /// When the tenant last (re)arrived — the admission-latency clock.
+    /// Shed pushbacks do not reset it: a shed tenant's wait is honest
+    /// about the whole time since it first asked for service.
+    arrived_at: u64,
+    /// The next admission is a quarantine retry, not a reconnect.
+    retry_pending: bool,
+    /// Shed by the admission timeout and not yet back.
+    shed_out: bool,
+    waiting_rounds: u64,
+    backoff: u64,
+    /// The tenant's report row; `finish` fills in what only the end of
+    /// the run knows (final selector, switch total, dip summary).
+    summary: TenantSummary,
+    smc_by_shard: Vec<u64>,
+    /// Switch decisions a crash rewound the engine past — the log
+    /// keeps them (they happened), the restored engine does not.
+    forgotten_switches: u64,
+    dips: DipTracker,
+}
+
+impl<'p> Tenant<'p> {
+    fn fold_epoch(&mut self, e: &EpochStats) {
+        let row = &mut self.summary;
+        row.epochs += 1;
+        row.total_insts += e.insts;
+        row.cache_insts += e.cache_insts;
+        row.insts_selected += e.insts_selected;
+        row.regions_selected += e.regions_selected;
+        row.smc_events += e.smc_events;
+        row.smc_invalidated += e.smc_invalidated;
+        // Epochs that executed nothing say nothing about the cache.
+        if e.insts > 0 {
+            self.dips.on_epoch(e.hit_rate(), e.smc_invalidated > 0);
+        }
+    }
+
+    fn fold_session(&mut self, session: &TenantSession<'_>) {
+        let res = session.resilience();
+        let row = &mut self.summary;
+        row.pressure_evicted += res.pressure_evicted_regions;
+        row.reformations += res.reformations;
+        row.blacklisted_targets += res.blacklisted_targets;
+        row.blacklist_hits += res.blacklist_hits;
+        for (s, &n) in session.smc_by_shard().iter().enumerate() {
+            self.smc_by_shard[s] += n;
+        }
+    }
+
+    fn fresh_engine(&self) -> PolicyEngine {
+        PolicyEngine::new(self.policy.clone())
+    }
+
+    fn restored_engine(&self, state: &PolicyState) -> Option<PolicyEngine> {
+        PolicyEngine::restore(self.policy.clone(), state)
+    }
+
+    /// A cold session at the top of the stream, on the engine's
+    /// current selector.
+    fn cold_session(&self, shard_count: usize) -> TenantSession<'p> {
+        TenantSession::new(
+            self.id,
+            self.spec,
+            self.engine.current(),
+            &self.sim,
+            shard_count,
+        )
+    }
+
+    fn restored_session(
+        &self,
+        snap: &TenantSnapshot,
+        shard_count: usize,
+    ) -> Result<TenantSession<'p>, SnapshotError> {
+        TenantSession::restore(self.id, self.spec, snap, &self.sim, shard_count)
+    }
+
+    /// The session a (re)admitted tenant runs on: warm from its
+    /// checkpoint when one exists (or cold-at-position under
+    /// `reconnect_cold`), cold from the top otherwise.
+    fn rebuild_session(&self, config: &ServeConfig) -> TenantSession<'p> {
+        let (pos, warm) = match &self.checkpoint {
+            None => (0, None),
+            Some(cp) => (cp.pos, (!config.reconnect_cold).then_some(&cp.snap)),
+        };
+        // A checkpoint captured from a live session always rebuilds;
+        // if it somehow does not, degrade the tenant to a cold resume
+        // rather than failing the serve.
+        let mut session = warm
+            .and_then(|snap| self.restored_session(snap, config.shard_count).ok())
+            .unwrap_or_else(|| self.cold_session(config.shard_count));
+        session.seek(pos);
+        session
+    }
+}
+
+/// The scheduler's cross-tenant state. Each round is the phase list
+/// in [`serve_impl`]: every phase but [`execute`](Scheduler::execute)
+/// runs serially in tenant (or arrival) order, so no cross-tenant
+/// decision can see worker scheduling.
+struct Scheduler<'p> {
+    config: &'p ServeConfig,
+    tenants: Vec<Tenant<'p>>,
+    map: SharedCacheMap,
+    /// Share mode: the content-addressed store dedups identical
+    /// regions across tenants; absent, every tenant pays for its own
+    /// copies.
+    store: Option<RegionStore>,
+    /// Arrival book: round -> tenants (re)arriving at it.
+    due: BTreeMap<u64, Vec<usize>>,
+    /// Arrivals deferred behind the queue.
+    pending: VecDeque<usize>,
+    queue: VecDeque<usize>,
+    active: Vec<usize>,
+    /// The tenants that ran an epoch this round, ascending.
+    ran: Vec<usize>,
+    /// The tenants whose stream ran dry this round.
+    finished_now: Vec<usize>,
+    q: QueueStats,
+    switches: Vec<SwitchRecord>,
+    total_insts: u64,
+    round: u64,
+    /// Tenants still owed service: not finished and not quarantined.
+    live: usize,
+    /// The chaos pill is one-shot per serve: once it fired (and the
+    /// tenant was quarantined), a retried session must not re-arm it —
+    /// it models a transient defect, and an eternal pill would make
+    /// the retry path untestable.
+    poison_spent: bool,
+    warm_started: bool,
+    warm_regions_restored: u64,
+    warm_rejected_tenants: u64,
+}
+
+impl<'p> Scheduler<'p> {
+    fn new(
+        specs: &'p [TenantSpec],
+        config: &'p ServeConfig,
+        warm: Option<&[Option<&TenantSnapshot>]>,
+        warm_rejected_tenants: u64,
+    ) -> Result<Self, ServeError> {
+        if specs.len() > u16::MAX as usize {
+            return Err(ServeError::TooManyTenants(specs.len()));
+        }
+        if config.epoch_len == 0 {
+            return Err(ServeError::InvalidConfig("epochs must make progress"));
+        }
+        if config.max_active == 0 {
+            return Err(ServeError::InvalidConfig(
+                "need at least one active session",
+            ));
+        }
+        if config.shard_count == 0 {
+            return Err(ServeError::InvalidConfig("need at least one shard"));
+        }
+        config.churn.check().map_err(ServeError::InvalidConfig)?;
+        if let Some(w) = warm {
+            if w.len() != specs.len() {
+                return Err(SnapshotError::TenantCountMismatch {
+                    snapshot: w.len().min(u16::MAX as usize) as u16,
+                    specs: specs.len(),
                 }
-                // A checkpoint captured from a live session always
-                // rebuilds; if it somehow does not, degrade the tenant
-                // to a cold resume rather than failing the serve.
-                Err(_) => cold(cp.pos),
+                .into());
             }
+        }
+
+        let mut tenants = Vec::with_capacity(specs.len());
+        // Arrival book: round -> tenants (re)arriving at it.
+        let mut due: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut warm_regions_restored = 0u64;
+        for (t, spec) in specs.iter().enumerate() {
+            let id = t as u16;
+            // Each tenant's fault schedule is seeded from the base seed
+            // and its id, so the schedule is a property of the tenant
+            // alone. With all fault rates zero the seed is never drawn.
+            let mut sim = config.sim.clone();
+            sim.faults.seed = tenant_fault_seed(config.sim.faults.seed, id);
+            // With a stream-adaptive base policy the candidate schedule
+            // is derived from the decoded stream shape (a pure function
+            // of config and spec — the snapshot loader re-derives the
+            // same schedules). Non-adaptive bases pass through.
+            let (policy, features) = derive_tenant_policy(&config.policy, spec);
+            // Lifecycles are pure per-tenant functions of the churn
+            // seed, so any worker count replays the same traffic.
+            let horizon = spec.len().div_ceil(config.epoch_len) as u64 + 1;
+            let lifecycle = TenantLifecycle::generate(&config.churn, id, horizon);
+            due.entry(lifecycle.arrival_round).or_default().push(t);
+            let warm_slot = warm.and_then(|w| w[t]);
+            let mut tenant = Tenant {
+                id,
+                spec,
+                sim,
+                engine: PolicyEngine::new(policy.clone()),
+                policy,
+                arrived_at: lifecycle.arrival_round,
+                lifecycle,
+                next_event: 0,
+                session: Mutex::new(None),
+                checkpoint: None,
+                warm_switches: warm_slot.map_or(0, |ts| ts.policy.switches),
+                epoch: None,
+                retry_pending: false,
+                shed_out: false,
+                waiting_rounds: 0,
+                backoff: 2,
+                summary: TenantSummary {
+                    tenant: id,
+                    policy_features: features,
+                    ..TenantSummary::default()
+                },
+                smc_by_shard: vec![0; config.shard_count],
+                forgotten_switches: 0,
+                dips: DipTracker::default(),
+            };
+            let session = match warm_slot {
+                Some(ts) => {
+                    tenant.engine = tenant
+                        .restored_engine(&ts.policy)
+                        .ok_or(SnapshotError::BadPolicyState(id))?;
+                    let session = tenant.restored_session(ts, config.shard_count)?;
+                    warm_regions_restored += ts.regions.len() as u64;
+                    // A warm slot doubles as the tenant's first
+                    // checkpoint: a crash before any new checkpoint
+                    // recovers to it.
+                    tenant.checkpoint = Some(Checkpoint {
+                        snap: ts.clone(),
+                        pos: 0,
+                        epoch: 0,
+                    });
+                    session
+                }
+                None => tenant.cold_session(config.shard_count),
+            };
+            *slot(&mut tenant.session) = Some(session);
+            tenants.push(tenant);
+        }
+        Ok(Scheduler {
+            config,
+            live: tenants.len(),
+            tenants,
+            map: SharedCacheMap::new(config.shard_count, config.shard_capacity),
+            store: config.share.then(|| RegionStore::new(config.shard_count)),
+            due,
+            pending: VecDeque::new(),
+            queue: VecDeque::new(),
+            active: Vec::new(),
+            ran: Vec::new(),
+            finished_now: Vec::new(),
+            q: QueueStats::default(),
+            switches: Vec::new(),
+            total_insts: 0,
+            round: 0,
+            poison_spent: false,
+            warm_started: warm.is_some(),
+            warm_regions_restored,
+            warm_rejected_tenants,
+        })
+    }
+
+    /// Books tenant `t` to (re)arrive at round `at`.
+    fn reschedule(&mut self, t: usize, at: u64) {
+        self.due.entry(at).or_default().push(t);
+        self.tenants[t].arrived_at = at;
+    }
+
+    /// Drops every shard byte and store ref tenant `t` holds.
+    fn release(&mut self, t: usize) {
+        self.map.clear_tenant(t as u16);
+        if let Some(store) = self.store.as_mut() {
+            store.release_tenant(t as u16);
+        }
+    }
+
+    /// Moves the arrivals due by this round, in tenant order, behind
+    /// the deferred set.
+    fn arrive(&mut self) {
+        let later = self.due.split_off(&(self.round + 1));
+        let due_now = std::mem::replace(&mut self.due, later);
+        let mut arrivals: Vec<usize> = due_now.into_values().flatten().collect();
+        arrivals.sort_unstable();
+        for t in arrivals {
+            let tenant = &mut self.tenants[t];
+            if tenant.summary.quarantined {
+                continue;
+            }
+            if tenant.shed_out {
+                tenant.shed_out = false;
+                self.q.admission_retries += 1;
+            }
+            self.pending.push_back(t);
+        }
+    }
+
+    /// Tops the bounded queue up from the deferred arrivals.
+    fn refill_queue(&mut self) {
+        let room = self.config.queue_capacity.saturating_sub(self.queue.len());
+        let n = room.min(self.pending.len());
+        self.queue.extend(self.pending.drain(..n));
+    }
+
+    /// Admits from the queue (arrival order) up to the active limit,
+    /// opening or rebuilding each admitted tenant's session, then
+    /// sheds arrivals stuck past the admission timeout.
+    fn admit(&mut self) {
+        let config = self.config;
+        let room = config.max_active.saturating_sub(self.active.len());
+        let to_admit: Vec<usize> = if config.queue_capacity == 0 {
+            // A zero-capacity queue buffers nothing: arrivals are
+            // admitted directly up to the active limit. (Routing them
+            // through the queue would livelock — nothing could ever
+            // enter a queue that holds zero tenants.)
+            let n = room.min(self.pending.len());
+            self.pending.drain(..n).collect()
+        } else {
+            self.refill_queue();
+            let n = room.min(self.queue.len());
+            let admitted = self.queue.drain(..n).collect();
+            // Arrivals keep the bounded queue full while the round
+            // runs; whoever does not fit is deferred behind it
+            // (backpressure).
+            self.refill_queue();
+            admitted
+        };
+        let round = self.round;
+        for t in to_admit {
+            let tenant = &mut self.tenants[t];
+            if slot(&mut tenant.session).is_none() {
+                let session = tenant.rebuild_session(config);
+                *slot(&mut tenant.session) = Some(session);
+            }
+            if config.chaos.poison_tenant == Some(tenant.id) && !self.poison_spent {
+                // The pill fires at a *lifetime* epoch; a session that
+                // starts mid-life arms the remainder.
+                let remaining = config
+                    .chaos
+                    .poison_epoch
+                    .saturating_sub(tenant.summary.epochs);
+                if let Some(session) = slot(&mut tenant.session).as_mut() {
+                    session.poison_after(remaining);
+                }
+            }
+            let wait = round - tenant.arrived_at;
+            if tenant.retry_pending {
+                // Quarantine retry: a fresh cold admission, not a
+                // churn reconnect.
+                tenant.retry_pending = false;
+            } else if tenant.summary.admitted {
+                tenant.summary.reconnects += 1;
+            } else {
+                tenant.summary.admitted = true;
+                tenant.summary.admitted_round = round;
+                tenant.summary.admission_wait = wait;
+            }
+            // Every admission (first, reconnect, retry) lands one
+            // sample in the log2 wait histogram.
+            self.q.admission_wait_hist[wait_bucket(wait)] += 1;
+            tenant.waiting_rounds = 0;
+            self.active.push(t);
+            self.q.admissions += 1;
+        }
+        // Overload shedding: arrivals stuck behind the queue past the
+        // timeout are pushed back out and retry after an exponential
+        // backoff, instead of convoying forever.
+        if config.admission_timeout > 0 {
+            let (tenants, due, q) = (&mut self.tenants, &mut self.due, &mut self.q);
+            self.pending.retain(|&t| {
+                let tenant = &mut tenants[t];
+                tenant.waiting_rounds += 1;
+                if tenant.waiting_rounds < config.admission_timeout {
+                    return true;
+                }
+                q.shed_arrivals += 1;
+                tenant.shed_out = true;
+                tenant.waiting_rounds = 0;
+                due.entry(round + tenant.backoff).or_default().push(t);
+                tenant.backoff = (tenant.backoff * 2).min(64);
+                false
+            });
+        }
+        self.active.sort_unstable();
+        let q = &mut self.q;
+        q.peak_active = q.peak_active.max(self.active.len() as u64);
+        q.peak_queue_depth = q.peak_queue_depth.max(self.queue.len() as u64);
+        q.queued_tenant_rounds += self.queue.len() as u64;
+        q.deferred_tenant_rounds += self.pending.len() as u64;
+    }
+
+    /// Runs one epoch of every active session across up to `jobs`
+    /// scoped workers, then folds the epochs in tenant order. Every
+    /// epoch runs inside the failure domain: a panic (e.g. a poison
+    /// pill) or an already-poisoned lock yields no epoch, for
+    /// [`depart`](Scheduler::depart) to quarantine; nothing unwinds
+    /// past here, on any worker.
+    fn execute(&mut self, jobs: usize) {
+        let (config, map, store) = (self.config, &self.map, self.store.as_ref());
+        let tenants = &self.tenants;
+        let run_one = |t: usize| -> Option<EpochStats> {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut guard = tenants[t].session.lock().ok()?;
+                let session = guard.as_mut()?;
+                let e = session.run_epoch(config.epoch_len);
+                match store {
+                    Some(st) => session.publish_shared(map, st, config.utility_evict),
+                    None => session.publish_occupancy(map, config.utility_evict),
+                }
+                Some(e)
+            }))
+            .ok()
+            .flatten()
+        };
+        let active = &self.active;
+        let epochs: Vec<Option<EpochStats>> = if jobs <= 1 || active.len() <= 1 {
+            active.iter().map(|&t| run_one(t)).collect()
+        } else {
+            let slots: Vec<OnceLock<Option<EpochStats>>> =
+                active.iter().map(|_| OnceLock::new()).collect();
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..jobs.min(active.len()) {
+                    scope.spawn(|| {
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&t) = active.get(i) else { break };
+                            let _ = slots[i].set(run_one(t));
+                        }
+                    });
+                }
+            });
+            slots
+                .into_iter()
+                .map(|s| s.into_inner().flatten())
+                .collect()
+        };
+
+        self.map.end_round();
+        if let Some(store) = self.store.as_mut() {
+            store.end_round();
+        }
+        for (&t, epoch) in self.active.iter().zip(epochs) {
+            let tenant = &mut self.tenants[t];
+            if let Some(e) = &epoch {
+                self.total_insts += e.insts;
+                tenant.fold_epoch(e);
+            }
+            tenant.epoch = epoch;
+        }
+    }
+
+    /// Quarantine, completions, and churn events, in tenant order: each
+    /// departing tenant releases its shard bytes before pressure
+    /// resolves.
+    fn depart(&mut self) {
+        let ran = std::mem::take(&mut self.active);
+        self.finished_now.clear();
+        let round = self.round;
+        for &t in &ran {
+            if self.tenants[t].epoch.is_none() {
+                self.quarantine(t);
+                continue;
+            }
+            let tenant = &mut self.tenants[t];
+            if slot(&mut tenant.session)
+                .as_ref()
+                .is_some_and(|s| s.finished())
+            {
+                // The session is retained for the final report and
+                // snapshot; only its shard bytes (and store refs)
+                // release.
+                tenant.summary.finished_round = round;
+                self.finished_now.push(t);
+                self.release(t);
+                self.live -= 1;
+                continue;
+            }
+            let event = tenant
+                .lifecycle
+                .events
+                .get(tenant.next_event)
+                .copied()
+                .filter(|e| e.at_epoch <= tenant.summary.epochs);
+            let Some(ev) = event else {
+                self.active.push(t);
+                continue;
+            };
+            tenant.next_event += 1;
+            if let Some(session) = slot(&mut tenant.session).take() {
+                match ev.kind {
+                    LifecycleKind::Disconnect => {
+                        // Graceful: checkpoint where the stream was
+                        // cut, then depart.
+                        tenant.summary.disconnects += 1;
+                        tenant.checkpoint = Some(Checkpoint::capture(
+                            &session,
+                            &tenant.engine,
+                            &mut tenant.summary,
+                        ));
+                    }
+                    LifecycleKind::Crash => {
+                        // Abrupt: everything since the last checkpoint
+                        // is lost and will be re-executed.
+                        tenant.summary.crashes += 1;
+                        let (cp_epoch, cp_switches) = tenant
+                            .checkpoint
+                            .as_ref()
+                            .map_or((0, 0), |c| (c.epoch, c.snap.policy.switches));
+                        tenant.summary.recovered_epochs += tenant.summary.epochs - cp_epoch;
+                        tenant.forgotten_switches += tenant.engine.switches() - cp_switches;
+                        tenant.engine = tenant
+                            .checkpoint
+                            .as_ref()
+                            .and_then(|c| tenant.restored_engine(&c.snap.policy))
+                            .unwrap_or_else(|| tenant.fresh_engine());
+                    }
+                }
+                tenant.fold_session(&session);
+            }
+            self.release(t);
+            self.reschedule(t, round + ev.gap);
+        }
+        self.ran = ran;
+    }
+
+    /// The failure domain: tenant `t`'s session panicked (or its lock
+    /// was poisoned). Contain it — keep whatever consistent state the
+    /// session reached for the final report, take the tenant out of
+    /// rotation, and keep serving everyone else.
+    fn quarantine(&mut self, t: usize) {
+        let config = self.config;
+        self.tenants[t].session.clear_poison();
+        if config.chaos.poison_tenant == Some(t as u16) {
+            self.poison_spent = true;
+        }
+        self.release(t);
+        let tenant = &mut self.tenants[t];
+        if config.quarantine_penalty > 0 && tenant.summary.quarantine_retries == 0 {
+            // Retry: tear the defective session down entirely (its
+            // monotone counters fold into the summary — the work
+            // happened) and re-admit fresh and cold after the penalty.
+            // A second quarantine drops the tenant for good.
+            tenant.retry_pending = true;
+            tenant.summary.quarantine_retries += 1;
+            self.q.quarantine_retries += 1;
+            if let Some(session) = slot(&mut tenant.session).take() {
+                tenant.fold_session(&session);
+            }
+            // The fresh engine restarts its learning; decisions already
+            // logged stay logged, same bookkeeping as a crash rewind.
+            tenant.forgotten_switches += tenant.engine.switches();
+            tenant.engine = tenant.fresh_engine();
+            tenant.checkpoint = None;
+            self.reschedule(t, self.round + config.quarantine_penalty);
+        } else {
+            tenant.summary.quarantined = true;
+            tenant.summary.finished_round = self.round;
+            self.live -= 1;
+        }
+    }
+
+    /// Brings every overflowing shard back under its budget. In share
+    /// mode the budget covers *unique* bytes and the store plans the
+    /// wave: evicting a shared entry drops it from every referencing
+    /// tenant at once. Without sharing, [`plan_shed`] plans the
+    /// shard's whole victim set first, then it is applied with a
+    /// single eviction pass per victim tenant — the repeated cache
+    /// rebuilds of per-batch eviction were quadratic in the region
+    /// count.
+    fn relieve_pressure(&mut self) {
+        let capacity = self.config.shard_capacity;
+        let utility = self.config.utility_evict;
+        let (map, tenants) = (&mut self.map, &mut self.tenants);
+        match self.store.as_mut() {
+            Some(store) => {
+                for shard in store.overflowing(capacity) {
+                    map.note_wave(shard);
+                    let wave = store.plan_wave(shard, capacity, utility);
+                    // Group the doomed keys by holder tenant; each
+                    // victim tenant takes one eviction pass, in tenant
+                    // order.
+                    let mut by_tenant: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
+                    for (key, entry) in &wave {
+                        for &holder in &entry.holders {
+                            by_tenant.entry(holder).or_default().push(*key);
+                        }
+                    }
+                    for (t, keys) in &by_tenant {
+                        let tenant = &mut tenants[*t as usize];
+                        let (evicted, left, left_recent) = slot(&mut tenant.session)
+                            .as_mut()
+                            .map_or((0, 0, 0), |s| s.evict_shared(shard, keys));
+                        map.note_shed(shard, evicted);
+                        map.set_load(shard, *t, left, left_recent);
+                        if utility {
+                            tenant.summary.utility_evictions += evicted;
+                        }
+                    }
+                }
+                store.check_invariants();
+                debug_check_consistency(store, map);
+            }
+            None => {
+                for shard in map.overflowing() {
+                    map.note_wave(shard);
+                    let plan = plan_shed(&map.shard_load(shard), capacity, utility, |t| {
+                        slot(&mut tenants[t as usize].session)
+                            .as_ref()
+                            .map(|s| s.shard_regions_with_heat(shard))
+                            .unwrap_or_default()
+                    });
+                    for &count in &plan.sheds {
+                        map.note_shed(shard, count);
+                    }
+                    for (&t, shed) in &plan.victims {
+                        let tenant = &mut tenants[t as usize];
+                        if !shed.ids.is_empty() {
+                            if let Some(session) = slot(&mut tenant.session).as_mut() {
+                                session.evict_planned(shard, &shed.ids, shed.bytes_left);
+                            }
+                        }
+                        map.set_load(shard, t, shed.bytes_left, shed.heat_left);
+                        if utility {
+                            tenant.summary.utility_evictions += shed.ids.len() as u64;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-tenant policy decisions, tenant order. Stream-adaptive
+    /// policies also feed the final epoch of tenants that finished this
+    /// round: a short stream's last explore epoch is often its last
+    /// epoch, and without this decision the engine would never reach
+    /// exploit (leaving `first_exploit_round` null for a tenant that
+    /// did learn a best selector).
+    fn decide(&mut self) {
+        if self.config.adaptive {
+            let mut deciders = self.active.clone();
+            if self.config.policy.adaptive {
+                deciders.extend_from_slice(&self.finished_now);
+                deciders.sort_unstable();
+            }
+            for t in deciders {
+                let tenant = &mut self.tenants[t];
+                let Some(e) = tenant.epoch else {
+                    continue;
+                };
+                let Some((kind, reason)) = tenant.engine.on_epoch(&e) else {
+                    continue;
+                };
+                if let Some(session) = slot(&mut tenant.session).as_mut() {
+                    self.switches.push(SwitchRecord {
+                        tenant: tenant.id,
+                        workload: session.workload(),
+                        epoch: tenant.summary.epochs,
+                        from: session.kind(),
+                        to: kind,
+                        reason,
+                    });
+                    session.switch_selector(kind, &tenant.sim);
+                }
+            }
+        }
+        // First round at which each tenant's engine was exploiting —
+        // for warm-restored engines already past exploration, that is
+        // their first active round (even if they also finish in it).
+        for &t in &self.ran {
+            let tenant = &mut self.tenants[t];
+            if tenant.summary.first_exploit_round.is_none() && tenant.engine.exploiting() {
+                tenant.summary.first_exploit_round = Some(self.round);
+            }
+        }
+    }
+
+    /// Periodic checkpoints — what crash recovery rewinds to. Taken
+    /// after policy decisions so a checkpoint never resurrects a
+    /// selector the engine just abandoned.
+    fn checkpoint(&mut self) {
+        let every = self.config.checkpoint_every;
+        if every == 0 || !(self.round + 1).is_multiple_of(every) {
+            return;
+        }
+        for &t in &self.active {
+            let tenant = &mut self.tenants[t];
+            if let Some(session) = slot(&mut tenant.session).as_ref() {
+                tenant.checkpoint = Some(Checkpoint::capture(
+                    session,
+                    &tenant.engine,
+                    &mut tenant.summary,
+                ));
+            }
+        }
+    }
+
+    /// Assembles the deterministic reports and the end-of-run
+    /// snapshot.
+    fn finish(mut self) -> ServeOutcome {
+        let config = self.config;
+        self.q.rounds = self.round;
+        let n = self.tenants.len();
+        let mut summaries = Vec::with_capacity(n);
+        let mut run_reports = Vec::with_capacity(n);
+        let mut snapshot_tenants = Vec::with_capacity(n);
+        let mut shard_smc = vec![0u64; config.shard_count];
+        for mut tenant in std::mem::take(&mut self.tenants) {
+            // Every tenant ends holding a session (finished and
+            // quarantined sessions are retained); materialize an empty
+            // one defensively if that invariant ever breaks.
+            let session = slot(&mut tenant.session)
+                .take()
+                .unwrap_or_else(|| tenant.cold_session(config.shard_count));
+            tenant.fold_session(&session);
+            let switches = tenant.engine.switches() + tenant.forgotten_switches;
+            // The engine is the authority on its own switch count; the
+            // global log (plus any decisions a crash rewound past) must
+            // agree with it.
+            debug_assert_eq!(
+                switches,
+                self.switches
+                    .iter()
+                    .filter(|s| s.tenant == tenant.id)
+                    .count() as u64
+                    + tenant.warm_switches,
+                "engine switch count drifted from the switch log"
+            );
+            for (s, &n) in tenant.smc_by_shard.iter().enumerate() {
+                shard_smc[s] += n;
+            }
+            let dip = tenant.dips.finish();
+            summaries.push(TenantSummary {
+                workload: session.workload(),
+                final_selector: session.kind().name(),
+                switches,
+                smc_dips: dip.dips,
+                max_dip_depth: dip.max_depth,
+                max_dip_recovery_epochs: dip.max_recovery_epochs,
+                ..tenant.summary
+            });
+            run_reports.push(session.report());
+            snapshot_tenants.push(freeze_tenant(&session, &tenant.engine));
+        }
+        let store_totals = self.store.as_ref().map(|s| s.totals()).unwrap_or_default();
+        let store_stats: Vec<StoreShardStats> = match self.store {
+            Some(s) => s.into_stats(),
+            None => vec![StoreShardStats::default(); config.shard_count],
+        };
+        let shards = self
+            .map
+            .into_stats()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (s, final_bytes))| ShardReport {
+                shard: i,
+                peak_bytes: s.peak_bytes,
+                contended_rounds: s.contended_rounds,
+                pressure_waves: s.pressure_waves,
+                shed_actions: s.shed_actions,
+                evicted_regions: s.evicted_regions,
+                smc_invalidated: shard_smc[i],
+                final_bytes,
+                unique_bytes: store_stats[i].peak_unique_bytes,
+                logical_bytes: store_stats[i].peak_logical_bytes,
+                shared_refs: store_stats[i].peak_shared_refs,
+            })
+            .collect();
+
+        ServeOutcome {
+            report: ServeReport {
+                epoch_len: config.epoch_len,
+                shard_count: config.shard_count,
+                shard_capacity: config.shard_capacity,
+                max_active: config.max_active,
+                queue_capacity: config.queue_capacity,
+                warm_started: self.warm_started,
+                warm_regions_restored: self.warm_regions_restored,
+                warm_rejected_tenants: self.warm_rejected_tenants,
+                smc_write_ppm: config.sim.faults.smc_write_ppm,
+                fault_seed: config.sim.faults.seed,
+                flush_wave_ppm: config.sim.faults.flush_wave_ppm,
+                counter_fault_ppm: config.sim.faults.counter_fault_ppm,
+                churn_active: config.churn.active(),
+                churn_seed: config.churn.seed,
+                checkpoint_every: config.checkpoint_every,
+                share_active: config.share,
+                unique_bytes: store_totals.unique_bytes,
+                logical_bytes: store_totals.logical_bytes,
+                shared_refs: store_totals.shared_refs,
+                queue: self.q,
+                tenants: summaries,
+                shards,
+                switches: self.switches,
+                total_insts: self.total_insts,
+                insts_per_sec: None,
+            },
+            run_reports,
+            snapshot: ServeSnapshot {
+                tenants: snapshot_tenants,
+            },
         }
     }
 }
@@ -422,903 +1184,19 @@ fn serve_impl(
     warm: Option<&[Option<&TenantSnapshot>]>,
     warm_rejected_tenants: u64,
 ) -> Result<ServeOutcome, ServeError> {
-    if specs.len() > u16::MAX as usize {
-        return Err(ServeError::TooManyTenants(specs.len()));
-    }
-    if config.epoch_len == 0 {
-        return Err(ServeError::InvalidConfig("epochs must make progress"));
-    }
-    if config.max_active == 0 {
-        return Err(ServeError::InvalidConfig(
-            "need at least one active session",
-        ));
-    }
-    if config.shard_count == 0 {
-        return Err(ServeError::InvalidConfig("need at least one shard"));
-    }
-    config.churn.check().map_err(ServeError::InvalidConfig)?;
+    let mut s = Scheduler::new(specs, config, warm, warm_rejected_tenants)?;
     let jobs = jobs.max(1);
-
-    // Per-tenant simulator configs: each tenant's fault schedule is
-    // seeded from the base seed and its id, so the schedule is a
-    // property of the tenant alone. With all fault rates zero the
-    // seed is never drawn and the clones are inert.
-    let sim_configs: Vec<SimConfig> = (0..specs.len())
-        .map(|t| {
-            let mut sim = config.sim.clone();
-            sim.faults.seed = tenant_fault_seed(config.sim.faults.seed, t as u16);
-            sim
-        })
-        .collect();
-
-    // Per-tenant policy configs: with a stream-adaptive base policy
-    // each tenant's candidate schedule is derived from its decoded
-    // stream shape (a pure function of config and spec — the snapshot
-    // loader re-derives the same schedules). Non-adaptive bases pass
-    // through unchanged.
-    let mut tenant_policies: Vec<PolicyConfig> = Vec::with_capacity(specs.len());
-    let mut tenant_features: Vec<Option<PolicyFeatures>> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let (p, f) = derive_tenant_policy(&config.policy, spec);
-        tenant_policies.push(p);
-        tenant_features.push(f);
+    while s.live > 0 {
+        s.arrive();
+        s.admit();
+        s.execute(jobs);
+        s.depart();
+        s.relieve_pressure();
+        s.decide();
+        s.checkpoint();
+        s.round += 1;
     }
-
-    let warm_slots: Vec<Option<&TenantSnapshot>> = match warm {
-        None => vec![None; specs.len()],
-        Some(s) => {
-            if s.len() != specs.len() {
-                return Err(SnapshotError::TenantCountMismatch {
-                    snapshot: s.len().min(u16::MAX as usize) as u16,
-                    specs: specs.len(),
-                }
-                .into());
-            }
-            s.to_vec()
-        }
-    };
-    let mut map = SharedCacheMap::new(config.shard_count, config.shard_capacity);
-    // Share mode: the content-addressed store dedups identical regions
-    // across tenants; absent, every tenant pays for its own copies.
-    let mut store = config.share.then(|| RegionStore::new(config.shard_count));
-    let mut engines: Vec<PolicyEngine> = Vec::with_capacity(specs.len());
-    let mut sessions: Vec<Mutex<Option<TenantSession<'_>>>> = Vec::with_capacity(specs.len());
-    let mut checkpoints: Vec<Option<Checkpoint>> = Vec::with_capacity(specs.len());
-    let mut warm_regions_restored = 0u64;
-    for (t, spec) in specs.iter().enumerate() {
-        match warm_slots[t] {
-            Some(ts) => {
-                let engine = PolicyEngine::restore(tenant_policies[t].clone(), &ts.policy)
-                    .ok_or(SnapshotError::BadPolicyState(t as u16))?;
-                let session =
-                    TenantSession::restore(t as u16, spec, ts, &sim_configs[t], config.shard_count)
-                        .map_err(ServeError::Snapshot)?;
-                warm_regions_restored += ts.regions.len() as u64;
-                engines.push(engine);
-                sessions.push(Mutex::new(Some(session)));
-                // A warm slot doubles as the tenant's first checkpoint:
-                // a crash before any new checkpoint recovers to it.
-                checkpoints.push(Some(Checkpoint {
-                    snap: ts.clone(),
-                    pos: 0,
-                    epoch: 0,
-                }));
-            }
-            None => {
-                engines.push(PolicyEngine::new(tenant_policies[t].clone()));
-                sessions.push(Mutex::new(Some(TenantSession::new(
-                    t as u16,
-                    spec,
-                    engines[t].current(),
-                    &sim_configs[t],
-                    config.shard_count,
-                ))));
-                checkpoints.push(None);
-            }
-        }
-    }
-
-    // Every tenant's lifecycle, generated upfront from the churn seed
-    // — pure per-tenant functions, so any worker count replays the
-    // same traffic.
-    let lifecycles: Vec<TenantLifecycle> = (0..specs.len())
-        .map(|t| {
-            let horizon = specs[t].len().div_ceil(config.epoch_len) as u64 + 1;
-            TenantLifecycle::generate(&config.churn, t as u16, horizon)
-        })
-        .collect();
-
-    // Arrival book: round -> tenants (re)arriving at it.
-    let mut due: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (t, l) in lifecycles.iter().enumerate() {
-        due.entry(l.arrival_round).or_default().push(t);
-    }
-    let mut pending: VecDeque<usize> = VecDeque::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut active: Vec<usize> = Vec::new();
-    let mut q = QueueStats::default();
-    let mut switches: Vec<SwitchRecord> = Vec::new();
-    let mut ledgers: Vec<Ledger> = (0..specs.len())
-        .map(|_| Ledger {
-            smc_by_shard: vec![0; config.shard_count],
-            ..Ledger::default()
-        })
-        .collect();
-    let mut admitted_round = vec![0u64; specs.len()];
-    let mut finished_round = vec![0u64; specs.len()];
-    // When each tenant last (re)arrived — the admission-latency clock.
-    // Shed pushbacks do not reset it: a shed tenant's wait is honest
-    // about the whole time since it first asked for service.
-    let mut arrived_at: Vec<u64> = lifecycles.iter().map(|l| l.arrival_round).collect();
-    let mut admission_wait = vec![0u64; specs.len()];
-    // Quarantine-retry state: one fresh-session retry per tenant.
-    let mut retried = vec![false; specs.len()];
-    let mut retry_pending = vec![false; specs.len()];
-    let mut quarantine_retries = vec![0u64; specs.len()];
-    // The chaos pill is one-shot per serve: once it fired (and the
-    // tenant was quarantined), a retried session must not re-arm it —
-    // it models a transient defect, and an eternal pill would make
-    // the retry path untestable.
-    let mut poison_spent = false;
-    let mut first_exploit_round: Vec<Option<u64>> = vec![None; specs.len()];
-    let mut utility_evicted = vec![0u64; specs.len()];
-    let mut dips: Vec<DipTracker> = vec![DipTracker::default(); specs.len()];
-    let mut was_admitted = vec![false; specs.len()];
-    let mut shed_out = vec![false; specs.len()];
-    let mut waiting_rounds = vec![0u64; specs.len()];
-    let mut backoff = vec![2u64; specs.len()];
-    let mut next_event = vec![0usize; specs.len()];
-    let mut total_insts = 0u64;
-    let mut round = 0u64;
-    // Tenants still owed service: not finished and not quarantined.
-    let mut live = specs.len();
-
-    while live > 0 {
-        // --- Arrivals due this round (serial, tenant order) -----------
-        let due_rounds: Vec<u64> = due.range(..=round).map(|(&r, _)| r).collect();
-        let mut arrivals: Vec<usize> = Vec::new();
-        for r in due_rounds {
-            if let Some(ts) = due.remove(&r) {
-                arrivals.extend(ts);
-            }
-        }
-        arrivals.sort_unstable();
-        for &t in &arrivals {
-            if ledgers[t].quarantined {
-                continue;
-            }
-            if shed_out[t] {
-                shed_out[t] = false;
-                q.admission_retries += 1;
-            }
-            pending.push_back(t);
-        }
-
-        // --- Admission (serial, arrival order) ------------------------
-        let mut to_admit: Vec<usize> = Vec::new();
-        if config.queue_capacity == 0 {
-            // A zero-capacity queue buffers nothing: arrivals are
-            // admitted directly up to the active limit. (Routing them
-            // through the queue would livelock — nothing could ever
-            // enter a queue that holds zero tenants.)
-            while active.len() + to_admit.len() < config.max_active {
-                match pending.pop_front() {
-                    Some(t) => to_admit.push(t),
-                    None => break,
-                }
-            }
-        } else {
-            while queue.len() < config.queue_capacity {
-                match pending.pop_front() {
-                    Some(t) => queue.push_back(t),
-                    None => break,
-                }
-            }
-            while active.len() + to_admit.len() < config.max_active {
-                match queue.pop_front() {
-                    Some(t) => to_admit.push(t),
-                    None => break,
-                }
-            }
-            // Arrivals keep the bounded queue full while the round
-            // runs; whoever does not fit is deferred behind it
-            // (backpressure).
-            while queue.len() < config.queue_capacity {
-                match pending.pop_front() {
-                    Some(t) => queue.push_back(t),
-                    None => break,
-                }
-            }
-        }
-        for t in to_admit {
-            let slot = sessions[t]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(rebuild_session(
-                    t,
-                    &specs[t],
-                    &sim_configs[t],
-                    &engines[t],
-                    checkpoints[t].as_ref(),
-                    config,
-                ));
-            }
-            if config.chaos.poison_tenant == Some(t as u16) && !poison_spent {
-                // The pill fires at a *lifetime* epoch; a session that
-                // starts mid-life arms the remainder.
-                let remaining = config.chaos.poison_epoch.saturating_sub(ledgers[t].epochs);
-                if let Some(session) = slot.as_mut() {
-                    session.poison_after(remaining);
-                }
-            }
-            if retry_pending[t] {
-                // Quarantine retry: a fresh cold admission, not a
-                // churn reconnect.
-                retry_pending[t] = false;
-            } else if was_admitted[t] {
-                ledgers[t].reconnects += 1;
-            } else {
-                was_admitted[t] = true;
-                admitted_round[t] = round;
-                admission_wait[t] = round - arrived_at[t];
-            }
-            // Every admission (first, reconnect, retry) lands one
-            // sample in the log2 wait histogram.
-            q.admission_wait_hist[wait_bucket(round - arrived_at[t])] += 1;
-            waiting_rounds[t] = 0;
-            active.push(t);
-            q.admissions += 1;
-        }
-        // Overload shedding: arrivals stuck behind the queue past the
-        // timeout are pushed back out and retry after an exponential
-        // backoff, instead of convoying forever.
-        if config.admission_timeout > 0 {
-            for &t in &pending {
-                waiting_rounds[t] += 1;
-            }
-            let mut kept = VecDeque::with_capacity(pending.len());
-            for t in pending.drain(..) {
-                if waiting_rounds[t] >= config.admission_timeout {
-                    q.shed_arrivals += 1;
-                    shed_out[t] = true;
-                    waiting_rounds[t] = 0;
-                    due.entry(round + backoff[t]).or_default().push(t);
-                    backoff[t] = (backoff[t] * 2).min(64);
-                } else {
-                    kept.push_back(t);
-                }
-            }
-            pending = kept;
-        }
-        active.sort_unstable();
-        q.peak_active = q.peak_active.max(active.len() as u64);
-        q.peak_queue_depth = q.peak_queue_depth.max(queue.len() as u64);
-        q.queued_tenant_rounds += queue.len() as u64;
-        q.deferred_tenant_rounds += pending.len() as u64;
-
-        // --- Parallel epoch execution (panic-contained) ---------------
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; specs.len()];
-        {
-            // One epoch of tenant `t`, inside the failure domain: a
-            // panic (e.g. a poison pill) or an already-poisoned lock
-            // yields `Crashed` for the barrier to quarantine; nothing
-            // unwinds past here, on any worker.
-            let sessions_ref = &sessions;
-            let map_ref = &map;
-            let store_ref = store.as_ref();
-            let run_one = |t: usize| -> Outcome {
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    let mut guard = match sessions_ref[t].lock() {
-                        Ok(g) => g,
-                        Err(_) => return None,
-                    };
-                    let session = guard.as_mut()?;
-                    let e = session.run_epoch(config.epoch_len);
-                    match store_ref {
-                        Some(st) => session.publish_shared(map_ref, st, config.utility_evict),
-                        None => session.publish_occupancy(map_ref, config.utility_evict),
-                    }
-                    Some(e)
-                }));
-                match ran {
-                    Ok(Some(e)) => Outcome::Ran(e),
-                    _ => Outcome::Crashed,
-                }
-            };
-            if jobs <= 1 || active.len() <= 1 {
-                for &t in &active {
-                    outcomes[t] = Some(run_one(t));
-                }
-            } else {
-                let slots: Vec<Mutex<Option<Outcome>>> =
-                    active.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let workers = jobs.min(active.len());
-                let active_ref = &active;
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| {
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&t) = active_ref.get(i) else { break };
-                                let o = run_one(t);
-                                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(o);
-                            }
-                        });
-                    }
-                });
-                for (i, &t) in active.iter().enumerate() {
-                    outcomes[t] = slots[i]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take();
-                }
-            }
-        }
-
-        // --- Barrier: all cross-tenant decisions, serial --------------
-        map.end_round();
-        if let Some(store) = store.as_mut() {
-            store.end_round();
-        }
-        for &t in &active {
-            if let Some(Outcome::Ran(e)) = outcomes[t] {
-                total_insts += e.insts;
-                ledgers[t].fold_epoch(&e);
-                // Feed the tenant's dip tracker in tenant order
-                // (`active` is sorted). Epochs that executed nothing
-                // say nothing about the cache and are skipped.
-                if e.insts > 0 {
-                    dips[t].on_epoch(e.hit_rate(), e.smc_invalidated > 0);
-                }
-            }
-        }
-
-        // Quarantine, departures, and churn events — all release their
-        // shard bytes before pressure resolves.
-        let ran = active.clone();
-        let mut still_active = Vec::with_capacity(active.len());
-        let mut finished_now: Vec<usize> = Vec::new();
-        for &t in &active {
-            match outcomes[t] {
-                None | Some(Outcome::Crashed) => {
-                    // The failure domain: the session panicked (or its
-                    // lock was poisoned). Contain it — keep whatever
-                    // consistent state the session reached for the
-                    // final report, take the tenant out of rotation,
-                    // and keep serving everyone else.
-                    sessions[t].clear_poison();
-                    if config.chaos.poison_tenant == Some(t as u16) {
-                        poison_spent = true;
-                    }
-                    map.clear_tenant(t as u16);
-                    if let Some(store) = store.as_mut() {
-                        store.release_tenant(t as u16);
-                    }
-                    if config.quarantine_penalty > 0 && !retried[t] {
-                        // Retry: tear the defective session down
-                        // entirely (its monotone counters fold into
-                        // the ledger — the work happened) and
-                        // re-admit fresh and cold after the penalty.
-                        // A second quarantine drops the tenant for
-                        // good.
-                        retried[t] = true;
-                        retry_pending[t] = true;
-                        quarantine_retries[t] += 1;
-                        q.quarantine_retries += 1;
-                        let slot = sessions[t]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if let Some(session) = slot.take() {
-                            ledgers[t].fold_session(&session);
-                        }
-                        // The fresh engine restarts its learning;
-                        // decisions already logged stay logged, same
-                        // bookkeeping as a crash rewind.
-                        ledgers[t].forgotten_switches += engines[t].switches();
-                        engines[t] = PolicyEngine::new(tenant_policies[t].clone());
-                        checkpoints[t] = None;
-                        due.entry(round + config.quarantine_penalty)
-                            .or_default()
-                            .push(t);
-                        arrived_at[t] = round + config.quarantine_penalty;
-                    } else {
-                        ledgers[t].quarantined = true;
-                        finished_round[t] = round;
-                        live -= 1;
-                    }
-                }
-                Some(Outcome::Ran(_)) => {
-                    let finished = {
-                        let slot = sessions[t]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        slot.as_ref().is_some_and(|s| s.finished())
-                    };
-                    if finished {
-                        // The session is retained for the final report
-                        // and snapshot; only its shard bytes (and
-                        // store refs) release.
-                        finished_now.push(t);
-                        finished_round[t] = round;
-                        map.clear_tenant(t as u16);
-                        if let Some(store) = store.as_mut() {
-                            store.release_tenant(t as u16);
-                        }
-                        live -= 1;
-                        continue;
-                    }
-                    let event = lifecycles[t]
-                        .events
-                        .get(next_event[t])
-                        .copied()
-                        .filter(|e| e.at_epoch <= ledgers[t].epochs);
-                    match event {
-                        None => still_active.push(t),
-                        Some(ev) => {
-                            next_event[t] += 1;
-                            let slot = sessions[t]
-                                .get_mut()
-                                .unwrap_or_else(PoisonError::into_inner);
-                            if let Some(session) = slot.take() {
-                                match ev.kind {
-                                    LifecycleKind::Disconnect => {
-                                        // Graceful: checkpoint where the
-                                        // stream was cut, then depart.
-                                        ledgers[t].disconnects += 1;
-                                        let snap = freeze_tenant(&session, &engines[t]);
-                                        ledgers[t].checkpoints += 1;
-                                        ledgers[t].checkpoint_bytes = tenant_snapshot_bytes(&snap);
-                                        checkpoints[t] = Some(Checkpoint {
-                                            snap,
-                                            pos: session.pos(),
-                                            epoch: ledgers[t].epochs,
-                                        });
-                                        ledgers[t].fold_session(&session);
-                                    }
-                                    LifecycleKind::Crash => {
-                                        // Abrupt: everything since the
-                                        // last checkpoint is lost and
-                                        // will be re-executed.
-                                        ledgers[t].crashes += 1;
-                                        let cp_epoch =
-                                            checkpoints[t].as_ref().map_or(0, |c| c.epoch);
-                                        let lifetime = ledgers[t].epochs;
-                                        ledgers[t].recovered_epochs += lifetime - cp_epoch;
-                                        let cp_switches = checkpoints[t]
-                                            .as_ref()
-                                            .map_or(0, |c| c.snap.policy.switches);
-                                        ledgers[t].forgotten_switches +=
-                                            engines[t].switches() - cp_switches;
-                                        engines[t] = match checkpoints[t].as_ref() {
-                                            Some(c) => PolicyEngine::restore(
-                                                tenant_policies[t].clone(),
-                                                &c.snap.policy,
-                                            )
-                                            .unwrap_or_else(|| {
-                                                PolicyEngine::new(tenant_policies[t].clone())
-                                            }),
-                                            None => PolicyEngine::new(tenant_policies[t].clone()),
-                                        };
-                                        ledgers[t].fold_session(&session);
-                                    }
-                                }
-                            }
-                            map.clear_tenant(t as u16);
-                            if let Some(store) = store.as_mut() {
-                                store.release_tenant(t as u16);
-                            }
-                            due.entry(round + ev.gap).or_default().push(t);
-                            arrived_at[t] = round + ev.gap;
-                        }
-                    }
-                }
-            }
-        }
-        active = still_active;
-
-        // Shard pressure. In share mode the budget covers *unique*
-        // bytes and the store plans the wave: victim entries go
-        // largest-first, and evicting a shared entry drops it from
-        // every referencing tenant at once. Without sharing, each
-        // overflowing shard plans its whole victim set first (heaviest
-        // tenant sheds the oldest half of its regions there,
-        // repeatedly, until the shard fits), then applies it with a
-        // single eviction pass per victim tenant — the repeated cache
-        // rebuilds of per-batch eviction were quadratic in the region
-        // count.
-        if let Some(store) = store.as_mut() {
-            for shard in store.overflowing(config.shard_capacity) {
-                map.note_wave(shard);
-                let wave = store.plan_wave(shard, config.shard_capacity, config.utility_evict);
-                // Group the doomed keys by holder tenant; each victim
-                // tenant takes one eviction pass, in tenant order.
-                let mut by_tenant: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
-                for (key, entry) in &wave {
-                    for &holder in &entry.holders {
-                        by_tenant.entry(holder).or_default().push(*key);
-                    }
-                }
-                for (tenant, keys) in &by_tenant {
-                    let (evicted, left, left_recent) = sessions[*tenant as usize]
-                        .get_mut()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .as_mut()
-                        .map(|s| s.evict_shared(shard, keys))
-                        .unwrap_or((0, 0, 0));
-                    map.note_shed(shard, evicted);
-                    map.set_load(shard, *tenant, left, left_recent);
-                    if config.utility_evict {
-                        utility_evicted[*tenant as usize] += evicted;
-                    }
-                }
-            }
-        } else if config.utility_evict {
-            for shard in map.overflowing() {
-                map.note_wave(shard);
-                // The shard's residents with their recent cached
-                // instructions, ascending tenant order.
-                let mut load = map.shard_load(shard);
-                let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64, u64)>> = BTreeMap::new();
-                let mut doomed: BTreeMap<u16, Vec<RegionId>> = BTreeMap::new();
-                let mut zeroed: Vec<u16> = Vec::new();
-                while load.iter().map(|&(_, b, _)| b).sum::<u64>() > map.capacity() {
-                    // Victim: most bytes per recent cached instruction
-                    // — cold bulk sheds before hot working sets. The
-                    // comparison cross-multiplies in u128 so no float
-                    // ever enters an eviction decision; ties go to the
-                    // larger footprint, then the lower tenant id (the
-                    // vec is tenant-ascending).
-                    let mut victim = 0usize;
-                    for (i, &(_, b, r)) in load.iter().enumerate() {
-                        let (_, vb, vr) = load[victim];
-                        let ui = b as u128 * (u128::from(vr) + 1);
-                        let uv = vb as u128 * (u128::from(r) + 1);
-                        if ui > uv || (ui == uv && b > vb) {
-                            victim = i;
-                        }
-                    }
-                    let tv = load[victim].0;
-                    if load[victim].1 == 0 {
-                        break; // nothing shedable is left in this shard
-                    }
-                    let regs = remaining.entry(tv).or_insert_with(|| {
-                        let mut regs = sessions[tv as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_ref()
-                            .map(|s| s.shard_regions_with_heat(shard))
-                            .unwrap_or_default();
-                        // Most evictable first: highest bytes per
-                        // recent instruction; ties go to the lower
-                        // region id.
-                        regs.sort_unstable_by(|a, b| {
-                            let ua = a.1 as u128 * (u128::from(b.2) + 1);
-                            let ub = b.1 as u128 * (u128::from(a.2) + 1);
-                            ub.cmp(&ua).then(a.0.cmp(&b.0))
-                        });
-                        regs.into()
-                    });
-                    if regs.is_empty() {
-                        // The ledger says the tenant holds bytes here
-                        // but no live region backs them; zero the entry
-                        // so the wave cannot spin on it.
-                        load[victim].1 = 0;
-                        load[victim].2 = 0;
-                        zeroed.push(tv);
-                        map.note_shed(shard, 0);
-                        break;
-                    }
-                    let count = regs.len().div_ceil(2);
-                    for _ in 0..count {
-                        let (id, _, _) = regs.pop_front().expect("count <= len");
-                        doomed.entry(tv).or_default().push(id);
-                    }
-                    map.note_shed(shard, count as u64);
-                    utility_evicted[tv as usize] += count as u64;
-                    load[victim].1 = regs.iter().map(|&(_, b, _)| b).sum();
-                    load[victim].2 = regs.iter().map(|&(_, _, r)| r).sum();
-                }
-                // Apply the plan, one eviction pass per victim tenant.
-                let left: BTreeMap<u16, (u64, u64)> =
-                    load.iter().map(|&(t, b, r)| (t, (b, r))).collect();
-                for (t, ids) in &doomed {
-                    if !ids.is_empty() {
-                        let (b, r) = left[t];
-                        if let Some(session) = sessions[*t as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_mut()
-                        {
-                            session.evict_planned(shard, ids, b);
-                        }
-                        map.set_load(shard, *t, b, r);
-                    }
-                }
-                for &t in &zeroed {
-                    map.set_load(shard, t, 0, 0);
-                }
-            }
-        } else {
-            for shard in map.overflowing() {
-                map.note_wave(shard);
-                // The shard's residents, ascending tenant order.
-                let mut bytes = map.shard_bytes(shard);
-                // Per-tenant surviving regions in the shard (fetched
-                // lazily; only victims pay the scan) and planned
-                // victims, keyed by tenant id.
-                let mut remaining: BTreeMap<u16, VecDeque<(RegionId, u64)>> = BTreeMap::new();
-                let mut doomed: BTreeMap<u16, Vec<RegionId>> = BTreeMap::new();
-                let mut zeroed: Vec<u16> = Vec::new();
-                while bytes.iter().map(|&(_, b)| b).sum::<u64>() > map.capacity() {
-                    // Heaviest resident; ties go to the lowest tenant
-                    // id (the vec is tenant-ascending).
-                    let mut victim = 0usize;
-                    for (i, &(_, b)) in bytes.iter().enumerate() {
-                        if b > bytes[victim].1 {
-                            victim = i;
-                        }
-                    }
-                    let tv = bytes[victim].0;
-                    if bytes[victim].1 == 0 {
-                        break; // nothing shedable is left in this shard
-                    }
-                    let regs = remaining.entry(tv).or_insert_with(|| {
-                        sessions[tv as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_ref()
-                            .map(|s| s.shard_regions(shard).into())
-                            .unwrap_or_default()
-                    });
-                    if regs.is_empty() {
-                        // The ledger says the tenant holds bytes here
-                        // but no live region backs them; zero the entry
-                        // so the wave cannot spin on it.
-                        bytes[victim].1 = 0;
-                        zeroed.push(tv);
-                        map.note_shed(shard, 0);
-                        break;
-                    }
-                    let count = regs.len().div_ceil(2);
-                    for _ in 0..count {
-                        let (id, _) = regs.pop_front().expect("count <= len");
-                        doomed.entry(tv).or_default().push(id);
-                    }
-                    map.note_shed(shard, count as u64);
-                    bytes[victim].1 = regs.iter().map(|&(_, b)| b).sum();
-                }
-                // Apply the plan, one eviction pass per victim tenant.
-                let left: BTreeMap<u16, u64> = bytes.iter().copied().collect();
-                for (t, ids) in &doomed {
-                    if !ids.is_empty() {
-                        if let Some(session) = sessions[*t as usize]
-                            .get_mut()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .as_mut()
-                        {
-                            session.evict_planned(shard, ids, left[t]);
-                        }
-                        map.set_bytes(shard, *t, left[t]);
-                    }
-                }
-                for &t in &zeroed {
-                    map.set_bytes(shard, t, 0);
-                }
-            }
-        }
-        if let Some(store) = store.as_mut() {
-            store.check_invariants();
-            debug_check_consistency(store, &mut map);
-        }
-
-        // Policy decisions, tenant order. Stream-adaptive policies
-        // also feed the final epoch of tenants that finished this
-        // round: a short stream's last explore epoch is often its
-        // last epoch, and without this decision the engine would
-        // never reach exploit (leaving `first_exploit_round` null for
-        // a tenant that did learn a best selector).
-        if config.adaptive {
-            let deciders: Vec<usize> = if config.policy.adaptive && !finished_now.is_empty() {
-                let mut d = active.clone();
-                d.extend(finished_now.iter().copied());
-                d.sort_unstable();
-                d
-            } else {
-                active.clone()
-            };
-            for &t in &deciders {
-                let e = match outcomes[t] {
-                    Some(Outcome::Ran(e)) => e,
-                    _ => continue,
-                };
-                let decision = engines[t].on_epoch(&e);
-                if let Some((kind, reason)) = decision {
-                    let lifetime = ledgers[t].epochs;
-                    if let Some(session) = sessions[t]
-                        .get_mut()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .as_mut()
-                    {
-                        switches.push(SwitchRecord {
-                            tenant: t as u16,
-                            workload: session.workload(),
-                            epoch: lifetime,
-                            from: session.kind(),
-                            to: kind,
-                            reason,
-                        });
-                        session.switch_selector(kind, &sim_configs[t]);
-                    }
-                }
-            }
-        }
-
-        // Periodic checkpoints — what crash recovery rewinds to. Taken
-        // after policy decisions so a checkpoint never resurrects a
-        // selector the engine just abandoned.
-        if config.checkpoint_every > 0 && (round + 1).is_multiple_of(config.checkpoint_every) {
-            for &t in &active {
-                if let Some(session) = sessions[t]
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .as_ref()
-                {
-                    let snap = freeze_tenant(session, &engines[t]);
-                    ledgers[t].checkpoints += 1;
-                    ledgers[t].checkpoint_bytes = tenant_snapshot_bytes(&snap);
-                    checkpoints[t] = Some(Checkpoint {
-                        snap,
-                        pos: session.pos(),
-                        epoch: ledgers[t].epochs,
-                    });
-                }
-            }
-        }
-
-        // First round at which each tenant's engine was exploiting —
-        // for warm-restored engines already past exploration, that is
-        // their first active round (even if they also finish in it).
-        for &t in &ran {
-            if first_exploit_round[t].is_none() && engines[t].exploiting() {
-                first_exploit_round[t] = Some(round);
-            }
-        }
-
-        round += 1;
-    }
-    q.rounds = round;
-
-    // --- Assemble the deterministic reports --------------------------
-    let mut tenants = Vec::with_capacity(specs.len());
-    let mut run_reports = Vec::with_capacity(specs.len());
-    let mut snapshot_tenants = Vec::with_capacity(specs.len());
-    let mut shard_smc = vec![0u64; config.shard_count];
-    for (t, cell) in sessions.iter_mut().enumerate() {
-        let slot = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
-        // Every tenant ends holding a session (finished and
-        // quarantined sessions are retained); materialize an empty one
-        // defensively if that invariant ever breaks.
-        let session = slot.get_or_insert_with(|| {
-            TenantSession::new(
-                t as u16,
-                &specs[t],
-                engines[t].current(),
-                &sim_configs[t],
-                config.shard_count,
-            )
-        });
-        ledgers[t].fold_session(session);
-        // The engine is the authority on its own switch count; the
-        // global log (plus any decisions a crash rewound past) must
-        // agree with it.
-        debug_assert_eq!(
-            engines[t].switches() + ledgers[t].forgotten_switches,
-            switches.iter().filter(|s| s.tenant == t as u16).count() as u64
-                + warm_slots[t].map_or(0, |ts| ts.policy.switches),
-            "engine switch count drifted from the switch log"
-        );
-        for (s, &n) in ledgers[t].smc_by_shard.iter().enumerate() {
-            shard_smc[s] += n;
-        }
-        let dip = std::mem::take(&mut dips[t]).finish();
-        let led = &ledgers[t];
-        tenants.push(TenantSummary {
-            tenant: t as u16,
-            workload: session.workload(),
-            final_selector: session.kind().name(),
-            epochs: led.epochs,
-            switches: engines[t].switches() + led.forgotten_switches,
-            admitted: was_admitted[t],
-            admitted_round: admitted_round[t],
-            admission_wait: admission_wait[t],
-            finished_round: finished_round[t],
-            first_exploit_round: first_exploit_round[t],
-            total_insts: led.total_insts,
-            cache_insts: led.cache_insts,
-            insts_selected: led.insts_selected,
-            regions_selected: led.regions_selected,
-            pressure_evicted: led.pressure_evicted,
-            utility_evictions: utility_evicted[t],
-            policy_features: tenant_features[t],
-            smc_events: led.smc_events,
-            smc_invalidated: led.smc_invalidated,
-            reformations: led.reformations,
-            blacklisted_targets: led.blacklisted_targets,
-            blacklist_hits: led.blacklist_hits,
-            disconnects: led.disconnects,
-            reconnects: led.reconnects,
-            crashes: led.crashes,
-            recovered_epochs: led.recovered_epochs,
-            checkpoints: led.checkpoints,
-            checkpoint_bytes: led.checkpoint_bytes,
-            quarantined: led.quarantined,
-            quarantine_retries: quarantine_retries[t],
-            smc_dips: dip.dips,
-            max_dip_depth: dip.max_depth,
-            max_dip_recovery_epochs: dip.max_recovery_epochs,
-        });
-        run_reports.push(session.report());
-        snapshot_tenants.push(freeze_tenant(session, &engines[t]));
-    }
-    let store_totals = store.as_ref().map(|s| s.totals()).unwrap_or_default();
-    let store_stats: Vec<StoreShardStats> = match store {
-        Some(s) => s.into_stats(),
-        None => vec![StoreShardStats::default(); config.shard_count],
-    };
-    let shards = map
-        .into_stats()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (s, final_bytes))| ShardReport {
-            shard: i,
-            peak_bytes: s.peak_bytes,
-            contended_rounds: s.contended_rounds,
-            pressure_waves: s.pressure_waves,
-            shed_actions: s.shed_actions,
-            evicted_regions: s.evicted_regions,
-            smc_invalidated: shard_smc[i],
-            final_bytes,
-            unique_bytes: store_stats[i].peak_unique_bytes,
-            logical_bytes: store_stats[i].peak_logical_bytes,
-            shared_refs: store_stats[i].peak_shared_refs,
-        })
-        .collect();
-
-    Ok(ServeOutcome {
-        report: ServeReport {
-            epoch_len: config.epoch_len,
-            shard_count: config.shard_count,
-            shard_capacity: config.shard_capacity,
-            max_active: config.max_active,
-            queue_capacity: config.queue_capacity,
-            warm_started: warm.is_some(),
-            warm_regions_restored,
-            warm_rejected_tenants,
-            smc_write_ppm: config.sim.faults.smc_write_ppm,
-            fault_seed: config.sim.faults.seed,
-            flush_wave_ppm: config.sim.faults.flush_wave_ppm,
-            counter_fault_ppm: config.sim.faults.counter_fault_ppm,
-            churn_active: config.churn.active(),
-            churn_seed: config.churn.seed,
-            checkpoint_every: config.checkpoint_every,
-            share_active: config.share,
-            unique_bytes: store_totals.unique_bytes,
-            logical_bytes: store_totals.logical_bytes,
-            shared_refs: store_totals.shared_refs,
-            queue: q,
-            tenants,
-            shards,
-            switches,
-            total_insts,
-            insts_per_sec: None,
-        },
-        run_reports,
-        snapshot: ServeSnapshot {
-            tenants: snapshot_tenants,
-        },
-    })
+    Ok(s.finish())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use rsel_core::metrics::RunReport;
 use rsel_core::select::SelectorKind;
 use rsel_core::{RegionId, SimConfig, Simulator};
 use rsel_program::{Executor, Program};
-use rsel_trace::{CompactStream, DecodedStream, StreamStats};
+use rsel_trace::{DecodedStream, StreamStats};
 use rsel_workloads::{Scale, Workload, suite};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,11 +39,11 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// Builds `workload` at `(seed, scale)` and records its execution.
+    /// Builds `workload` at `(seed, scale)` and records its execution
+    /// straight into decoded form ([`DecodedStream::record`]).
     pub fn record(workload: &Workload, seed: u64, scale: Scale) -> Self {
         let (program, spec) = workload.build(seed, scale);
-        let stream = CompactStream::record(Executor::new(&program, spec));
-        let decoded = DecodedStream::decode(stream, &program);
+        let decoded = DecodedStream::record(Executor::new(&program, spec), &program);
         TenantSpec {
             name: workload.name(),
             program: Arc::new(program),
@@ -617,23 +617,10 @@ impl<'p> TenantSession<'p> {
     }
 
     /// Barrier-side pressure planning: this tenant's live regions in
-    /// `shard`, in selection order, each with its size estimate. The
-    /// scheduler plans a shard's whole victim set against these lists
-    /// and then applies it with one [`TenantSession::evict_planned`]
-    /// call per tenant.
-    pub fn shard_regions(&self, shard: usize) -> Vec<(RegionId, u64)> {
-        self.sim
-            .cache()
-            .regions()
-            .iter()
-            .filter(|r| shard_of(self.tenant, r.entry(), self.shard_count) == shard)
-            .map(|r| (r.id(), r.size_estimate(self.stub_bytes)))
-            .collect()
-    }
-
-    /// [`TenantSession::shard_regions`] with each region's decayed
-    /// recent heat attached — the utility-aware planner's input:
-    /// `(id, bytes, recent cached instructions)` in selection order.
+    /// `shard` as `(id, bytes, decayed recent cached instructions)`, in
+    /// selection order. The scheduler plans a shard's whole victim set
+    /// against these lists and then applies it with one
+    /// [`TenantSession::evict_planned`] call per tenant.
     pub fn shard_regions_with_heat(&self, shard: usize) -> Vec<(RegionId, u64, u64)> {
         self.sim
             .cache()
@@ -788,11 +775,11 @@ mod tests {
         // eviction, the way the scheduler's barrier does.
         let heavy = (0..8).max_by_key(|&i| s.occupancy()[i]).unwrap();
         let before = s.occupancy()[heavy];
-        let regs = s.shard_regions(heavy);
-        assert_eq!(regs.iter().map(|&(_, b)| b).sum::<u64>(), before);
+        let regs = s.shard_regions_with_heat(heavy);
+        assert_eq!(regs.iter().map(|&(_, b, _)| b).sum::<u64>(), before);
         let count = regs.len().div_ceil(2);
-        let doomed: Vec<RegionId> = regs[..count].iter().map(|&(id, _)| id).collect();
-        let left: u64 = regs[count..].iter().map(|&(_, b)| b).sum();
+        let doomed: Vec<RegionId> = regs[..count].iter().map(|&(id, _, _)| id).collect();
+        let left: u64 = regs[count..].iter().map(|&(_, b, _)| b).sum();
         let evicted = s.evict_planned(heavy, &doomed, left);
         assert_eq!(evicted, count as u64);
         assert!(left < before);

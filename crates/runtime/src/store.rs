@@ -39,7 +39,7 @@
 //! [`release_tenant`](RegionStore::release_tenant), which needs no
 //! access to the lost session).
 
-use crate::shard::SharedCacheMap;
+use crate::shard::{SharedCacheMap, by_utility};
 use rsel_core::Region;
 use rsel_program::InstKind;
 use rsel_program::fxhash::FxHasher;
@@ -389,9 +389,9 @@ impl RegionStore {
             .collect();
         if utility {
             order.sort_unstable_by(|a, b| {
-                let ua = a.0 as u128 * (b.1 as u128 + 1);
-                let ub = b.0 as u128 * (a.1 as u128 + 1);
-                ub.cmp(&ua).then(b.0.cmp(&a.0)).then(a.2.cmp(&b.2))
+                by_utility((b.0, b.1), (a.0, a.1))
+                    .then(b.0.cmp(&a.0))
+                    .then(a.2.cmp(&b.2))
             });
         } else {
             order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)));
@@ -499,7 +499,7 @@ pub fn debug_check_consistency(store: &mut RegionStore, map: &mut SharedCacheMap
     if cfg!(debug_assertions) {
         for shard in 0..store.shard_count() {
             let store_logical = store.logical_bytes(shard);
-            let map_logical: u64 = map.shard_bytes(shard).iter().map(|&(_, b)| b).sum();
+            let map_logical: u64 = map.shard_load(shard).iter().map(|&(_, b, _)| b).sum();
             debug_assert_eq!(
                 store_logical, map_logical,
                 "share-mode ledgers disagree on shard {shard}"

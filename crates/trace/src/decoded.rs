@@ -27,7 +27,12 @@
 //! first step, hand-built or loaded streams) in a small sorted
 //! exception table, so any [`CompactStream`] decodes exactly. The
 //! decoded form thus holds 5 bytes per step instead of 5 plus 8 per
-//! taken branch.
+//! taken branch. [`DecodedStream::record`] makes the same check while
+//! the execution runs, so a recording that is only ever replayed never
+//! allocates the compact form or its taken-source table at all; that
+//! also keeps a multi-megabyte source table from being freed, which
+//! would raise glibc's mmap threshold and leave the process's peak
+//! memory to depend on how concurrent recordings interleave.
 //!
 //! Decoding also runs a *spin-phase* detector (in the spirit of
 //! gamegirl's waitloop optimization): maximal runs where the stream
@@ -36,7 +41,7 @@
 //! O(1) — see `rsel_core`'s guarded fast-forward for the conditions
 //! under which that is byte-identical.
 
-use crate::stream::{CompactStream, StreamStats, tag_to_kind};
+use crate::stream::{CompactStream, StreamStats, kind_to_tag, tag_to_kind};
 use rsel_program::{Addr, BlockId, Entry, Program, Step};
 
 const ENTRY_START: u8 = 0;
@@ -151,56 +156,43 @@ impl DecodedStream {
     pub fn decode(stream: CompactStream, program: &Program) -> Self {
         let (blocks, tags, srcs) = stream.into_raw_parts();
         check_indexable(blocks.len());
-        let pblocks = program.blocks();
-        let mut ids = Vec::with_capacity(pblocks.len());
-        let mut starts = Vec::with_capacity(pblocks.len());
-        let mut lens = Vec::with_capacity(pblocks.len());
-        let mut term_addrs = Vec::with_capacity(pblocks.len());
-        for b in pblocks {
-            ids.push(b.id());
-            starts.push(b.start());
-            lens.push(b.len() as u32);
-            term_addrs.push(b.terminator().addr());
-        }
-
-        let mut src_exceptions = Vec::new();
-        let mut stats = StreamStats::default();
+        let mut pass = StepPass::new(program);
         let mut srcs = srcs.into_iter();
-        let mut prev_term = None;
         for (i, (&idx, &tag)) in blocks.iter().zip(&tags).enumerate() {
-            let idx = idx as usize;
-            assert!(
-                idx < pblocks.len(),
-                "recorded block index {idx} out of range for program"
-            );
-            stats.blocks += 1;
-            stats.instructions += u64::from(lens[idx]);
-            if tag >= ENTRY_TAKEN_BASE {
-                let src = srcs.next().expect("taken entry has a recorded source");
-                stats.taken_branches += 1;
-                if starts[idx].is_backward_from(src) {
-                    stats.backward_taken += 1;
-                }
-                if prev_term != Some(src) {
-                    src_exceptions.push((i as u32, src));
-                }
-            }
-            prev_term = Some(term_addrs[idx]);
+            let src = (tag >= ENTRY_TAKEN_BASE)
+                .then(|| srcs.next().expect("taken entry has a recorded source"));
+            pass.step(i, idx, src);
         }
+        pass.finish(blocks, tags)
+    }
 
-        let mut decoded = DecodedStream {
-            blocks,
-            tags,
-            src_exceptions,
-            ids,
-            starts,
-            lens,
-            term_addrs,
-            phases: Vec::new(),
-            stats,
-        };
-        decoded.phases = detect_phases(&decoded);
-        decoded
+    /// Records every step of `source` (an execution of `program`)
+    /// straight into decoded form: equal, spare capacity included, to
+    /// [`DecodedStream::decode`] of [`CompactStream::record`] on the
+    /// same steps, but taken sources are checked as they arrive and
+    /// never stored, so no compact stream and no taken-source table
+    /// is ever allocated.
+    ///
+    /// # Panics
+    ///
+    /// As [`DecodedStream::decode`]: on a block index out of range for
+    /// `program`, or on more than `u32::MAX` steps.
+    pub fn record<I: IntoIterator<Item = Step>>(source: I, program: &Program) -> Self {
+        let mut pass = StepPass::new(program);
+        let (mut blocks, mut tags) = (Vec::new(), Vec::new());
+        for step in source {
+            let idx = u32::try_from(step.block.index()).expect("block index fits in 32 bits");
+            let (tag, src) = match step.entry {
+                Entry::Start => (ENTRY_START, None),
+                Entry::Fallthrough => (ENTRY_FALLTHROUGH, None),
+                Entry::Taken { src, kind } => (ENTRY_TAKEN_BASE + kind_to_tag(kind), Some(src)),
+            };
+            pass.step(blocks.len(), idx, src);
+            blocks.push(idx);
+            tags.push(tag);
+        }
+        check_indexable(blocks.len());
+        pass.finish(blocks, tags)
     }
 
     /// Rebuilds the compact storage form this stream was decoded from,
@@ -351,6 +343,81 @@ impl DecodedStream {
     }
 }
 
+/// The per-step pass shared by [`DecodedStream::decode`] and
+/// [`DecodedStream::record`]: the program's per-block tables, plus the
+/// source exceptions and stream statistics accumulated step by step.
+struct StepPass {
+    ids: Vec<BlockId>,
+    starts: Vec<Addr>,
+    lens: Vec<u32>,
+    term_addrs: Vec<Addr>,
+    src_exceptions: Vec<(u32, Addr)>,
+    stats: StreamStats,
+    /// Terminator address of the previous step's block.
+    prev_term: Option<Addr>,
+}
+
+impl StepPass {
+    fn new(program: &Program) -> Self {
+        let pblocks = program.blocks();
+        let mut pass = StepPass {
+            ids: Vec::with_capacity(pblocks.len()),
+            starts: Vec::with_capacity(pblocks.len()),
+            lens: Vec::with_capacity(pblocks.len()),
+            term_addrs: Vec::with_capacity(pblocks.len()),
+            src_exceptions: Vec::new(),
+            stats: StreamStats::default(),
+            prev_term: None,
+        };
+        for b in pblocks {
+            pass.ids.push(b.id());
+            pass.starts.push(b.start());
+            pass.lens.push(b.len() as u32);
+            pass.term_addrs.push(b.terminator().addr());
+        }
+        pass
+    }
+
+    /// Accounts step `i` at block index `idx`; `src` is its recorded
+    /// source, present exactly when the step was entered taken.
+    fn step(&mut self, i: usize, idx: u32, src: Option<Addr>) {
+        let idx = idx as usize;
+        assert!(
+            idx < self.ids.len(),
+            "recorded block index {idx} out of range for program"
+        );
+        self.stats.blocks += 1;
+        self.stats.instructions += u64::from(self.lens[idx]);
+        if let Some(src) = src {
+            self.stats.taken_branches += 1;
+            if self.starts[idx].is_backward_from(src) {
+                self.stats.backward_taken += 1;
+            }
+            if self.prev_term != Some(src) {
+                self.src_exceptions.push((i as u32, src));
+            }
+        }
+        self.prev_term = Some(self.term_addrs[idx]);
+    }
+
+    /// The decoded stream over the per-step arrays the pass accounted.
+    fn finish(self, blocks: Vec<u32>, tags: Vec<u8>) -> DecodedStream {
+        let mut decoded = DecodedStream {
+            blocks,
+            tags,
+            src_exceptions: self.src_exceptions,
+            ids: self.ids,
+            starts: self.starts,
+            lens: self.lens,
+            term_addrs: self.term_addrs,
+            phases: Vec::new(),
+            stats: self.stats,
+        };
+        decoded.phases = detect_phases(&decoded);
+        decoded
+    }
+}
+
 /// Finds maximal periodic runs: at each step whose block last occurred
 /// `p <= MAX_PERIOD` steps ago with an identical step, extends the
 /// period-`p` match as far as it holds and records the run when it
@@ -392,7 +459,7 @@ fn detect_phases(stream: &DecodedStream) -> Vec<SpinPhase> {
             let s = prev.max(last_end);
             let reps = j.saturating_sub(s) / p;
             if reps >= MIN_REPS {
-                // `decode` checked that every step index fits in u32.
+                // Decoding checked that every step index fits in u32.
                 phases.push(SpinPhase {
                     start: s as u32,
                     period: p as u32,
@@ -482,6 +549,41 @@ mod tests {
         assert_eq!(decoded.source_exceptions(), 2);
         assert_eq!(decoded.steps().collect::<Vec<_>>(), steps);
         assert_eq!(decoded.to_compact(), stream);
+    }
+
+    /// Field for field, spare capacity included.
+    fn assert_same(a: &DecodedStream, b: &DecodedStream) {
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.tags, b.tags);
+        assert_eq!(a.blocks.capacity(), b.blocks.capacity());
+        assert_eq!(a.tags.capacity(), b.tags.capacity());
+        assert_eq!(a.src_exceptions, b.src_exceptions);
+        assert_eq!(a.ids, b.ids);
+        assert_eq!(a.starts, b.starts);
+        assert_eq!(a.lens, b.lens);
+        assert_eq!(a.term_addrs, b.term_addrs);
+        assert_eq!(a.phases, b.phases);
+        assert_eq!(a.stats, b.stats);
+    }
+
+    #[test]
+    fn recording_equals_decoding_the_compact_recording() {
+        for trips in [0, 2, 50, 1000] {
+            let (p, stream) = spin_run(trips);
+            let steps: Vec<Step> = stream.replay(&p).collect();
+            let recorded = DecodedStream::record(steps.iter().copied(), &p);
+            assert_same(&recorded, &DecodedStream::decode(stream, &p));
+        }
+        // Underivable sources land in the exception table alike.
+        let (p, stream) = spin_run(20);
+        let mut steps: Vec<Step> = stream.replay(&p).collect();
+        let foreign = p.blocks().last().unwrap().terminator().addr();
+        let kind = rsel_program::BranchKind::Jump;
+        steps[0].entry = Entry::Taken { src: foreign, kind };
+        let recorded = DecodedStream::record(steps.iter().copied(), &p);
+        assert_eq!(recorded.source_exceptions(), 1);
+        let stream = CompactStream::record(steps.iter().copied());
+        assert_same(&recorded, &DecodedStream::decode(stream, &p));
     }
 
     #[test]

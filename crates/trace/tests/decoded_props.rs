@@ -115,6 +115,11 @@ proptest! {
         }
         prop_assert!(decoded.steps().eq(replayed.iter().copied()));
         prop_assert_eq!(decoded.to_compact(), stream);
+        let recorded = DecodedStream::record(steps.iter().copied(), &p);
+        prop_assert!(recorded.steps().eq(replayed.iter().copied()));
+        prop_assert_eq!(recorded.source_exceptions(), underived);
+        prop_assert_eq!(recorded.phases(), decoded.phases());
+        prop_assert_eq!(recorded.stats(), decoded.stats());
         let config = SimConfig::default();
         for kind in SelectorKind::extended() {
             let mut run = Simulator::new(&p, kind.make(&p, &config), &config);
